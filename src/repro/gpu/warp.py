@@ -145,8 +145,9 @@ class WarpState:
 
     * :meth:`advance` — run forward until blocked or finished; returns pages
       to wait on plus any prefetch demands.
-    * :meth:`take_issuable` — pop fault occurrences to issue this round,
-      bounded by the SM throttle budget and µTLB capacity.
+    * :meth:`take_next` — pop the next fault occurrence to issue (the
+      engine checks the SM throttle budget and µTLB capacity);
+      :meth:`take_issuable` pops several at once.
     * :meth:`on_pages_resident` — notification from the driver; when it
       returns True the warp is unblocked and must be advanced again.
     * :meth:`requeue` — re-demand an occurrence whose fault was dropped by
@@ -280,6 +281,31 @@ class WarpState:
                 return page
         return None
 
+    def take_next(self) -> Optional[Tuple[int, AccessType]]:
+        """Pop the next occurrence whose page is still missing, or None.
+
+        The engine's per-fault primitive: one scan, no list.  The head moves
+        past satisfied occurrences as it scans, which is safe because
+        ``missing`` only shrinks within a stage: a skipped occurrence can
+        never become issuable again, and :meth:`requeue` only appends pages
+        that are still missing.  Unlike :meth:`take_issuable` it never
+        resets or compacts the queue, so a re-demand always lands behind
+        the head.
+        """
+        unissued = self._unissued
+        missing = self.missing
+        head = self._unissued_head
+        n = len(unissued)
+        while head < n:
+            occ = unissued[head]
+            head += 1
+            if occ[0] in missing:
+                self._unissued_head = head
+                self.faults_issued += 1
+                return occ
+        self._unissued_head = head
+        return None
+
     def take_issuable(self, max_n: int) -> List[Tuple[int, AccessType]]:
         """Pop up to ``max_n`` occurrences whose pages are still missing.
 
@@ -311,13 +337,19 @@ class WarpState:
         their pages were (momentarily) resident, so a later advance must not
         re-demand them even if eviction has reclaimed the pages since.
         """
-        missing = self.missing
-        had_missing = bool(missing)
+        unblocked = False
         for page in pages:
+            unblocked = self.on_page_resident(page) or unblocked
+        return unblocked
+
+    def on_page_resident(self, page: int) -> bool:
+        """:meth:`on_pages_resident` for one page (the engine's form)."""
+        missing = self.missing
+        if page in missing:
             missing.discard(page)
-        if had_missing and not missing:
-            self._stage_satisfied = True
-            return True
+            if not missing:
+                self._stage_satisfied = True
+                return True
         return False
 
     def requeue(self, page: int, access: AccessType) -> None:

@@ -130,6 +130,84 @@ class EngineCounters:
         }
 
 
+#: What :meth:`_SmIssuer.select` did with the µTLB for the popped miss.
+_MERGED = 0  # merged into an outstanding entry: nothing is written
+_SPURIOUS = 1  # merged, but the µTLB writes a duplicate entry anyway
+_NEW = 2  # took a fresh µTLB slot: one entry is written
+
+
+class _SmIssuer:
+    """One SM's issue state within a fault-generation window.
+
+    ``warps`` are the SM's fault-ready warps in activation order and
+    ``cursor`` is the round-robin position: the warp that issued last pass
+    issues first again, and a warp the cursor has passed has nothing left to
+    issue this window.  Both the scalar arbiter loop and the SoA window
+    issue through :meth:`select`.
+
+    The loops keep an issuer for the next pass while its SM has budget and
+    its µTLB has room.  One with nothing left to issue drops out when its
+    next :meth:`select` finds nothing, so no loop rescans the warps after
+    every fault.
+    """
+
+    __slots__ = ("sm", "utlb", "warps", "cursor")
+
+    def __init__(self, sm, utlb, warps: List[WarpState]) -> None:
+        self.sm = sm
+        self.utlb = utlb
+        self.warps = warps
+        self.cursor = 0
+
+    def select(self) -> Optional[Tuple[WarpState, Tuple[int, AccessType], int]]:
+        """The per-SM selection step: issue this pass's fault occurrence.
+
+        Pops the occurrence, requests its µTLB entry and charges the SM's
+        throttle for any entry written.  Returns ``(warp, (page, access),
+        entry)`` with ``entry`` one of ``_MERGED``/``_SPURIOUS``/``_NEW``,
+        or None when the SM issues nothing more this pass (it then drops
+        out of the window).  The caller writes the buffer entry, if any.
+
+        A full µTLB still admits a miss that merges into an outstanding
+        entry.  The first warp with any other demand, or with only
+        satisfied occurrences left, stops the SM for the pass; the pure
+        :meth:`WarpState.peek_page` leaves that warp's queue untouched.
+        """
+        utlb = self.utlb
+        pending = utlb.pending_pages
+        full = utlb.outstanding >= utlb.limit
+        warps = self.warps
+        i = self.cursor
+        n = len(warps)
+        while i < n:
+            warp = warps[i]
+            if full:
+                if not warp.has_issuable:
+                    i += 1
+                    continue
+                if warp.peek_page() not in pending:
+                    break
+            occ = warp.take_next()
+            if occ is None:
+                i += 1
+                continue
+            self.cursor = i
+            page = occ[0]
+            if page in pending:
+                if not utlb.request(page):
+                    return warp, occ, _MERGED
+                entry = _SPURIOUS
+            else:
+                utlb.request(page)
+                entry = _NEW
+            # The budget is positive here: an SM only enters a pass with
+            # budget left, and it writes at most one entry per pass.
+            self.sm.consume_budget(1)
+            return warp, occ, entry
+        self.cursor = i
+        return None
+
+
 class Engine:
     """Owns the full simulated stack and runs kernels against it."""
 
@@ -592,21 +670,20 @@ class Engine:
         # application batches below the synthetic ceiling (Table 2).
         now = self.clock.now
         inj = self.injector if self._inject_on else None
-        issuers: List[Tuple] = []
+        issuers: List[_SmIssuer] = []
         for sm in device.sms:
-            utlb = device.utlbs[sm.utlb_id]
             warps = [w for w in sm.active if w.has_issuable and w.ready_at <= now]
             if warps and sm.budget > 0:
                 if inj is not None and inj.fire("utlb.stall"):
                     # Injected µTLB issue-port stall: this SM issues no
                     # translation faults for one replay window.
                     continue
-                issuers.append((sm, utlb, warps, [0]))
+                issuers.append(_SmIssuer(sm, device.utlbs[sm.utlb_id], warps))
         buffer = device.fault_buffer
         if (
             self._soa
             and inj is None
-            and sum(entry[0].budget for entry in issuers)
+            and sum(issuer.sm.budget for issuer in issuers)
             <= buffer.capacity - len(buffer)
         ):
             # SoA bulk window: every delivery is guaranteed to land (total
@@ -618,45 +695,22 @@ class Engine:
             t, soa_progressed = self._issue_window_soa(issuers, t, interval)
             progressed = progressed or soa_progressed
             issuers = []
+        deliver = device.gmmu.deliver
         while issuers:
             next_issuers = []
-            for sm, utlb, warps, cursor in issuers:
-                issued_here = False
-                # One fault per SM per pass → round-robin interleaving.
-                while cursor[0] < len(warps):
-                    warp = warps[cursor[0]]
-                    if not warp.has_issuable:
-                        cursor[0] += 1
-                        continue
-                    if sm.budget <= 0:
-                        break
-                    merged_ahead = warp.peek_page() in utlb.pending_pages
-                    if not merged_ahead and utlb.available <= 0:
-                        break
-                    occs = warp.take_issuable(1)
-                    if not occs:
-                        cursor[0] += 1
-                        continue
-                    page, access = occs[0]
-                    if page in utlb.pending_pages:
-                        # Same-page miss merges into the existing µTLB entry
-                        # (occasionally a spurious duplicate is emitted).
-                        if utlb.request(page):
-                            sm.consume_budget(1)
-                            fault = device.gmmu.deliver(
-                                page, access, sm.sm_id, warp.uid, timestamp=t
-                            )
-                            if fault is not None:
-                                t += interval
-                        progressed = True
-                        issued_here = True
-                        break
-                    utlb.request(page)
-                    sm.consume_budget(1)
-                    fault = device.gmmu.deliver(
-                        page, access, sm.sm_id, warp.uid, timestamp=t
-                    )
-                    if fault is None:
+            # One fault per SM per pass → round-robin interleaving.
+            for issuer in issuers:
+                picked = issuer.select()
+                if picked is None:
+                    continue
+                progressed = True
+                warp, (page, access), entry = picked
+                sm = issuer.sm
+                utlb = issuer.utlb
+                if entry != _MERGED:
+                    if deliver(page, access, sm.sm_id, warp.uid, timestamp=t) is not None:
+                        t += interval
+                    elif entry == _NEW:
                         # HW buffer full: roll back the µTLB entry so the
                         # re-demand does not merge against a phantom.  The
                         # requeue is progress — without it, an injected
@@ -664,23 +718,13 @@ class Engine:
                         # the buffer is empty would trip the deadlock check
                         # (real hardware drops imply a non-empty buffer, so
                         # this path never decides liveness when injection is
-                        # off).
+                        # off).  A dropped spurious duplicate needs neither:
+                        # its page keeps the entry it merged into.
                         utlb.cancel(page)
                         warp.requeue(page, access)
                         sm.budget = 0
-                        progressed = True
-                    else:
-                        t += interval
-                        progressed = True
-                    issued_here = True
-                    break
-                if (
-                    issued_here
-                    and sm.budget > 0
-                    and utlb.available > 0
-                    and any(w.has_issuable for w in warps)
-                ):
-                    next_issuers.append((sm, utlb, warps, cursor))
+                if sm.budget > 0 and utlb.outstanding < utlb.limit:
+                    next_issuers.append(issuer)
             issuers = next_issuers
 
         # Injected early cancellation: drop one outstanding µTLB entry per
@@ -705,7 +749,7 @@ class Engine:
         return progressed, compute
 
     def _issue_window_soa(
-        self, issuers: List[Tuple], t0: float, interval: float
+        self, issuers: List[_SmIssuer], t0: float, interval: float
     ) -> Tuple[float, bool]:
         """Round-robin issuance with bulk column-wise buffer appends.
 
@@ -729,13 +773,12 @@ class Engine:
         i = 0
         n = len(issuers)
         while i < n:
-            utlb = issuers[i][1]
+            utlb = issuers[i].utlb
             group = [issuers[i]]
             i += 1
-            while i < n and issuers[i][1] is utlb:
+            while i < n and issuers[i].utlb is utlb:
                 group.append(issuers[i])
                 i += 1
-            pending = utlb.pending_pages
             pass_no = 0
             active = group
             while active:
@@ -743,52 +786,18 @@ class Engine:
                     buckets.append([])
                 bucket = buckets[pass_no]
                 next_active = []
-                for entry in active:
-                    sm, _utlb, warps, cursor = entry
-                    issued_here = False
-                    # One fault per SM per pass → round-robin interleaving.
-                    while cursor[0] < len(warps):
-                        warp = warps[cursor[0]]
-                        if not warp.has_issuable:
-                            cursor[0] += 1
-                            continue
-                        if sm.budget <= 0:
-                            break
-                        merged_ahead = warp.peek_page() in pending
-                        if not merged_ahead and utlb.available <= 0:
-                            break
-                        occs = warp.take_issuable(1)
-                        if not occs:
-                            cursor[0] += 1
-                            continue
-                        page, access = occs[0]
-                        if page in pending:
-                            # Same-page miss merges into the existing µTLB
-                            # entry (occasionally a spurious duplicate is
-                            # emitted).
-                            if utlb.request(page):
-                                sm.consume_budget(1)
-                                bucket.extend(
-                                    (sm.sm_id, sm.utlb_id, page, access, warp.uid)
-                                )
-                            progressed = True
-                            issued_here = True
-                            break
-                        utlb.request(page)
-                        sm.consume_budget(1)
-                        bucket.extend(
-                            (sm.sm_id, sm.utlb_id, page, access, warp.uid)
-                        )
-                        progressed = True
-                        issued_here = True
-                        break
-                    if (
-                        issued_here
-                        and sm.budget > 0
-                        and utlb.available > 0
-                        and any(w.has_issuable for w in warps)
-                    ):
-                        next_active.append(entry)
+                # One fault per SM per pass → round-robin interleaving.
+                for issuer in active:
+                    picked = issuer.select()
+                    if picked is None:
+                        continue
+                    progressed = True
+                    warp, (page, access), entry = picked
+                    sm = issuer.sm
+                    if entry != _MERGED:
+                        bucket.extend((sm.sm_id, sm.utlb_id, page, access, warp.uid))
+                    if sm.budget > 0 and utlb.outstanding < utlb.limit:
+                        next_active.append(issuer)
                 active = next_active
                 pass_no += 1
         if not buckets:
@@ -862,19 +871,15 @@ class Engine:
             for warp in blocked:
                 if warp.finished:
                     continue
-                if warp.on_pages_resident((page,)) and warp.uid not in seen:
+                if warp.on_page_resident(page) and warp.uid not in seen:
                     seen.add(warp.uid)
                     unblocked.append(warp)
         for warp in unblocked:
             if not warp.blocked and not warp.finished:
                 self._advance_warp(warp)
         # Flushed/unserviced faults: the µTLB replays still-needed misses.
-        for fault in outcome.dropped_faults:
-            self._requeue_fault(fault)
-        for fault in outcome.unserviced_faults:
-            self._requeue_fault(fault)
-
-    def _requeue_fault(self, fault) -> None:
-        warp = self._warps.get(fault.warp_uid)
-        if warp is not None and not warp.finished:
-            warp.requeue(fault.page, fault.access)
+        warps = self._warps
+        for fault in chain(outcome.dropped_faults, outcome.unserviced_faults):
+            warp = warps.get(fault.warp_uid)
+            if warp is not None and not warp.finished:
+                warp.requeue(fault.page, fault.access)

@@ -70,7 +70,7 @@ class CuFft(Workload):
                 hi = min(lo + per, (k + 1) * region, npages)
                 if lo >= hi:
                     continue
-                reads = [data.page(i) for i in range(lo, hi)]
+                reads = list(data.pages(lo, hi))
                 writes = [
                     data.page(int(f"{i:0{bits}b}"[::-1], 2)) for i in range(lo, hi)
                 ]
@@ -90,7 +90,7 @@ class CuFft(Workload):
                 hi = min(lo + self.pairs_per_phase, npages)
                 if lo >= hi:
                     continue
-                pages = [data.page(i) for i in range(lo, hi)]
+                pages = list(data.pages(lo, hi))
                 tw = [twiddle.page(base // window % tw_pages)]
                 programs[k].append(
                     Phase.of(

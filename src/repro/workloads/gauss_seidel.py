@@ -57,7 +57,7 @@ class GaussSeidel(Workload):
 
     def _row_pages(self, alloc, row: int) -> List[int]:
         pr = self.pages_per_row
-        return [alloc.page(row * pr + i) for i in range(pr)]
+        return list(alloc.pages(row * pr, (row + 1) * pr))
 
     def steps(self, system: UvmSystem) -> List:
         nbytes = 8 * self.n * self.n

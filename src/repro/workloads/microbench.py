@@ -52,9 +52,10 @@ class VecAddPageStride(Workload):
         for j in range(self.rounds):
             # SASS order (Listing 2): LDG a for all lanes, LDG b, FADD
             # scoreboard stall, then STG c.
-            reads = [a.page(j * self.tsize + t) for t in range(self.tsize)]
-            reads += [b.page(j * self.tsize + t) for t in range(self.tsize)]
-            writes = [c.page(j * self.tsize + t) for t in range(self.tsize)]
+            lo = j * self.tsize
+            hi = lo + self.tsize
+            reads = list(a.pages(lo, hi)) + list(b.pages(lo, hi))
+            writes = list(c.pages(lo, hi))
             phases.append(Phase.of(reads, writes, compute_usec=self.compute_usec))
         kernel = KernelLaunch(self.name, [WarpProgram(phases, label="warp0")])
         return [

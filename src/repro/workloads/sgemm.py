@@ -88,6 +88,16 @@ class Gemm(Workload):
         phase_flops = 2.0 * t * t * t
         compute = phase_flops / self.flops_per_usec
 
+        # Every A and B panel is built once and shared by all the tiles
+        # that read it (each C panel has one writer and is built in place).
+        a_panels = [
+            [self._panel_pages(a, i * t, t, k * t, t) for k in range(ntiles)]
+            for i in range(ntiles)
+        ]
+        b_panels = [
+            [self._panel_pages(b, k * t, t, j * t, t) for j in range(ntiles)]
+            for k in range(ntiles)
+        ]
         burst = max(1, self.pages_per_burst)
         programs = []
         for i in range(ntiles):
@@ -99,8 +109,7 @@ class Gemm(Workload):
                 drift = 0.6 + 0.8 * ((i * ntiles + j) * 5 % 9) / 8.0
                 phases = []
                 for k in range(ntiles):
-                    reads = self._panel_pages(a, i * t, t, k * t, t)
-                    reads += self._panel_pages(b, k * t, t, j * t, t)
+                    reads = a_panels[i][k] + b_panels[k][j]
                     # Panel loads stream in bursts interleaved with the
                     # accumulation FMAs (double buffering).
                     nbursts = max(1, (len(reads) + burst - 1) // burst)

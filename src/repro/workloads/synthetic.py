@@ -92,12 +92,15 @@ class RandomAccess(Workload):
         data = system.managed_alloc(self.nbytes, "data")
         rng = spawn_rng(self.seed, "random-access")
         programs = []
+        per = self.pages_per_phase
         for k in range(self.num_programs):
             draws = rng.integers(0, npages, size=self.accesses_per_program)
-            phases = []
-            for i in range(0, len(draws), self.pages_per_phase):
-                reads = [data.page(int(p)) for p in draws[i : i + self.pages_per_phase]]
-                phases.append(Phase.of(reads, compute_usec=0.1))
+            # Draws lie in [0, npages), so offsetting them stays in bounds.
+            pages = (draws + data.start_page).tolist()
+            phases = [
+                Phase.of(pages[i : i + per], compute_usec=0.1)
+                for i in range(0, len(pages), per)
+            ]
             programs.append(WarpProgram(phases, label=f"rand{k}"))
         kernel = KernelLaunch(self.name, programs)
         steps: List = []

@@ -66,6 +66,50 @@ class TestWarpStateProps:
             assert {p for p, _ in occs} <= missing_before
 
 
+small_page_st = st.integers(min_value=0, max_value=5)
+issue_op_st = st.one_of(
+    st.tuples(st.just("take")),
+    st.tuples(st.just("resident"), small_page_st),
+    st.tuples(
+        st.just("requeue"),
+        small_page_st,
+        st.sampled_from([AccessType.READ, AccessType.WRITE, AccessType.PREFETCH]),
+    ),
+)
+
+
+class TestTakeNextProps:
+    @given(
+        st.lists(small_page_st, min_size=1, max_size=8),
+        st.sets(small_page_st),
+        st.lists(issue_op_st, max_size=40),
+    )
+    def test_take_next_matches_take_issuable(self, reads, resident, ops):
+        """Over random interleavings of notifications, re-demands and takes
+        within one stage, ``take_next`` issues exactly the occurrence
+        sequence repeated ``take_issuable(1)`` does, and never swaps out the
+        queue while the warp is blocked."""
+        program = WarpProgram((Phase.of(reads),))
+        fast = WarpState(program, uid=1, sm_id=0)
+        reference = WarpState(program, uid=2, sm_id=0)
+        fast.advance(resident)
+        reference.advance(resident)
+        queue = fast._unissued
+        for op in ops:
+            if op[0] == "take":
+                occ = fast.take_next()
+                assert reference.take_issuable(1) == ([] if occ is None else [occ])
+            elif op[0] == "resident":
+                assert fast.on_page_resident(op[1]) == reference.on_pages_resident([op[1]])
+            else:
+                fast.requeue(op[1], op[2])
+                reference.requeue(op[1], op[2])
+            assert fast.missing == reference.missing
+            if fast.missing:
+                assert fast._unissued is queue
+        assert fast.faults_issued == reference.faults_issued
+
+
 def small_kernels():
     """Random small kernels over a 64-page allocation."""
     return st.lists(

@@ -91,6 +91,7 @@ class TestDoctests:
             "repro.apps.fft",
             "repro.apps.multigrid",
             "repro.apps.graph",
+            "repro.workloads.base",
         ],
     )
     def test_module_doctests(self, module_name):

@@ -237,6 +237,66 @@ class TestPeekRequeueRegression:
         ]
 
 
+class TestTakeNext:
+    """``take_next`` is the engine's one-scan issue primitive: it may move
+    the head past satisfied occurrences, but never resets or truncates the
+    queue while the warp is blocked (the ``requeue`` guarantee above)."""
+
+    def test_pops_in_order_then_none(self):
+        warp = make_warp([Phase.of([3, 4])])
+        warp.advance(resident=set())
+        assert warp.take_next() == (3, AccessType.READ)
+        assert warp.take_next() == (4, AccessType.READ)
+        assert warp.take_next() is None
+        assert warp.faults_issued == 2
+
+    def test_skips_satisfied(self):
+        warp = make_warp([Phase.of([3, 4, 5])])
+        warp.advance(resident=set())
+        warp.on_page_resident(3)
+        warp.on_page_resident(4)
+        assert warp.take_next() == (5, AccessType.READ)
+        assert warp.faults_issued == 1
+
+    def test_requeue_after_head_skipped_satisfied_is_issued(self):
+        warp = make_warp([Phase.of([1, 2, 3])])
+        warp.advance(resident=set())
+        assert warp.take_next() == (1, AccessType.READ)
+        warp.on_page_resident(2)
+        warp.on_page_resident(3)
+        # The head runs past the satisfied occurrences to the end...
+        assert warp.take_next() is None
+        assert warp._unissued_head == len(warp._unissued)
+        # ...and the flushed fault for page 1 still re-demands behind it.
+        warp.requeue(1, AccessType.READ)
+        assert warp.take_next() == (1, AccessType.READ)
+        assert warp.take_next() is None
+
+    def test_queue_never_reset_while_blocked(self):
+        warp = make_warp([Phase.of([1, 2, 2])])
+        warp.advance(resident=set())
+        queue = warp._unissued
+        contents = list(queue)
+        while warp.take_next() is not None:
+            pass
+        warp.on_page_resident(2)
+        assert warp.take_next() is None
+        assert warp.missing == {1}
+        assert warp._unissued is queue and queue == contents
+        warp.requeue(1, AccessType.READ)
+        assert warp._unissued is queue
+        assert warp.take_next() == (1, AccessType.READ)
+
+    def test_on_page_resident_unblocks_on_last_page(self):
+        warp = make_warp([Phase.of([1, 2])])
+        warp.advance(resident=set())
+        assert not warp.on_page_resident(1)
+        assert not warp.on_page_resident(1)  # already satisfied
+        assert not warp.on_page_resident(99)  # not demanded
+        assert warp.on_page_resident(2)
+        assert not warp.blocked
+
+
 class TestNotification:
     def test_partial_notification_stays_blocked(self):
         warp = make_warp([Phase.of([1, 2])])

@@ -1,7 +1,11 @@
 """Unit tests for workload builders: structure of the generated programs."""
 
+import hashlib
+
 import pytest
 
+from repro.api import UvmSystem
+from repro.config import default_config
 from repro.gpu.warp import KernelLaunch
 from repro.units import MB, PAGE_SIZE
 from repro.workloads import (
@@ -16,6 +20,7 @@ from repro.workloads import (
     Sgemm,
     StreamTriad,
     VecAddPageStride,
+    WORKLOAD_REGISTRY,
 )
 from repro.workloads.base import (
     independent_programs,
@@ -26,6 +31,60 @@ from repro.workloads.base import (
 
 def kernel_steps(workload, system):
     return [s for s in workload.steps(system) if isinstance(s, KernelLaunch)]
+
+
+def launch_digest(workload) -> str:
+    """sha256 over every kernel's programs and their phase tuples
+    ``(reads, writes, prefetches, compute_usec)``, in emission order, built
+    on a fresh default system (so allocations start at the same pages)."""
+    digest = hashlib.sha256()
+    for kernel in kernel_steps(workload, UvmSystem(default_config())):
+        digest.update(f"kernel {kernel.name} {len(kernel.programs)}\n".encode())
+        for program in kernel.programs:
+            digest.update(f"program {program.label} {len(program.phases)}\n".encode())
+            for phase in program.phases:
+                fields = (phase.reads, phase.writes, phase.prefetches, phase.compute_usec)
+                digest.update(repr(fields).encode() + b"\n")
+    return digest.hexdigest()
+
+
+#: Digests of the generated launches, recorded from the per-page generators
+#: that the range-built ones replaced: the rewrite must emit the same pages
+#: in the same order, with the same phase boundaries and compute costs.
+GENERATOR_DIGESTS = {
+    "sgemm-2048-256": "b9eee6cb935c13c2d4d298032adf344223d993e86bafe21700f98373a84136b6",
+    "dgemm-2048-512": "03cad458301b49227a46dbc8a81e9986a50a4d5821d91a86ac1aaea08a826f29",
+    "cufft-8MiB": "3daba08d96ccbdf77ae8ce9e9e1a286e5be089e7a885fbe071602951abd415b4",
+    "vecadd": "dd3d6068f0ec4fef63c3bca520d77413e18ea19ccbc55cd810c145c796c090ec",
+    "prefetch-kernel": "78ade9bfb3a6f7d355fdde7bbcac3be77dfbb1d1f9cdc5c8cf32ea338dd5341e",
+    "regular": "e4b8d2f31ab4dd7774a439d856726b21cdfa9a2483f2b666fa63c5953dfe795b",
+    "random": "df5f12bfac7d878f54cdfdb9d19d7851e42740f73a94989d7a78073a6c72705b",
+    "stream": "90ef5292f954e33ba0f686f72c94ddef56a14b7d4d0906e2f0745dae6fa745fc",
+    "sgemm": "771f29e7a86fa7acd74b937d139bd06a1db3814e7f6d5b3b50d55e3b10a175a6",
+    "dgemm": "d54ee516fd7a4e149dcf82423b1206092538f0387398eb484b28e59e083b379c",
+    "cufft": "88af444dda3fb9826a20bd38e26f043f9782314cf16c7eb364a32dbe25ebcef4",
+    "gauss-seidel": "31ea4264b7a2b34a852393fa4a9cb12f110f7f1d4d3ae2e4d94722d3ce9ae337",
+    "hpgmg": "13c5103eb185a8127455ff918fe08f15e72b9c47f0c28ba97c0186e074e7abeb",
+    "pointer-chase": "5b36205154a03f3f1c5c224b86e5a29a645fcb140e5aa21d26e7647984eaa143",
+    "bfs": "5450a4d358c4f925841a9ad45a6ca49154638e4561b5a90da5475c9a7825344e",
+    "spmv": "3ed6ddf317ca19b776abff0cfdb4fff8ba05c29a2a036b8be08d78ce879065de",
+}
+
+GENERATOR_CASES = {
+    "sgemm-2048-256": lambda: Sgemm(n=2048, tile=256),
+    "dgemm-2048-512": lambda: Dgemm(n=2048, tile=512),
+    "cufft-8MiB": lambda: CuFft(nbytes=8 * MB),
+    **WORKLOAD_REGISTRY,
+}
+
+
+class TestGeneratorIdentity:
+    def test_every_registry_entry_is_pinned(self):
+        assert set(GENERATOR_CASES) == set(GENERATOR_DIGESTS)
+
+    @pytest.mark.parametrize("case", sorted(GENERATOR_DIGESTS))
+    def test_launches_match_recorded_digest(self, case):
+        assert launch_digest(GENERATOR_CASES[case]()) == GENERATOR_DIGESTS[case]
 
 
 class TestHelpers:
@@ -60,6 +119,20 @@ class TestHelpers:
         a = small_system.managed_alloc(64 * PAGE_SIZE)
         with pytest.raises(ValueError):
             lockstep_programs([a], [], 64, 3, 8)
+
+    def test_lockstep_never_touches_trailing_partial_window(self):
+        # Known deviation, pinned until a change re-records the stream
+        # anchors: only npages // window_pages whole windows are swept, so
+        # the last npages % window_pages pages of each array stay untouched
+        # (bar the one overlap page the read arrays reach past the end).
+        def touched(npages):
+            wl = StreamTriad(nbytes=npages * PAGE_SIZE)
+            [kernel] = kernel_steps(wl, UvmSystem(default_config()))
+            return len(kernel.touched_pages)
+
+        assert touched(4196) == 12530  # of 3 * 4196 = 12588
+        assert touched(4096) == 3 * 4096 - (16 + 15 + 15)  # stream-oversub
+        assert touched(4104) == 3 * 4104  # 4104 = 171 * 24: no remainder
 
     def test_independent_regions_disjoint(self, small_system):
         a = small_system.managed_alloc(64 * PAGE_SIZE)

@@ -2,7 +2,7 @@
 
 PR 2's determinism lint sees one file at a time; this package sees the
 project.  A shared IR (:mod:`~repro.check.program.ir`: module index,
-symbol tables, intra-package call graph) feeds nine passes through one
+symbol tables, intra-package call graph) feeds eight passes through one
 engine (:mod:`~repro.check.program.engine`):
 
 * ``determinism`` — the per-file hazard rules, ported onto the IR;
@@ -22,9 +22,6 @@ engine (:mod:`~repro.check.program.engine`):
 * ``snapshot`` — checkpoint-coverage drift between the engine's mutable
   attributes and ``sim/checkpoint.py`` capture/skip lists
   (:mod:`~repro.check.program.snapshot`);
-* ``parity`` — scalar/SoA (and future driver-backend) write-surface
-  equivalence via ``# parity:`` annotations
-  (:mod:`~repro.check.program.parity`);
 * ``suppression-hygiene`` — stale ``lint-ok`` comments and dead
   allowlist entries.
 
@@ -59,7 +56,6 @@ from .ir import ProjectIR, build_project_ir
 from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
 from .metric_drift import MetricDriftPass
-from .parity import ParityPass
 from .protocols import PROTOCOLS, SNAPSHOT, ResourceProtocol
 from .sarif import sarif_to_json, to_sarif
 from .shared_state import SharedStatePass, find_worker_entry_points
@@ -77,7 +73,6 @@ __all__ = [
     "LocalRulesPass",
     "MetricDriftPass",
     "PROTOCOLS",
-    "ParityPass",
     "ProjectIR",
     "ResourceProtocol",
     "Rule",

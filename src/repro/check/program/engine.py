@@ -37,7 +37,6 @@ from .ir import ProjectIR, build_project_ir
 from .lifecycle import LifecyclePass
 from .local_rules import LocalRulesPass
 from .metric_drift import MetricDriftPass
-from .parity import ParityPass
 from .shared_state import SharedStatePass
 from .snapshot import SnapshotCoveragePass
 from .taint import SimTaintPass
@@ -53,7 +52,6 @@ def default_passes() -> List[AnalysisPass]:
         DimensionsPass(),
         LifecyclePass(),
         SnapshotCoveragePass(),
-        ParityPass(),
     ]
 
 

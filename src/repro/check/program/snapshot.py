@@ -19,7 +19,9 @@ statically:
   on an attr-list class the attribute is captured verbatim anyway;
 * ``snapshot-stale-skip`` — a skip-set entry that matches no attribute
   assignment anywhere in the project (dead weight, or a renamed field
-  whose exclusion silently stopped applying).
+  whose exclusion silently stopped applying), or a catalog class name
+  that matches no class (a deleted or renamed component whose check
+  silently stopped running).
 
 The pass activates only when the analyzed tree contains a module named per
 :data:`~.protocols.SnapshotSpec` defining the skip-set global, so fixture
@@ -69,9 +71,10 @@ _RULES = {
         pass_name="snapshot",
         severity="warning",
         description=(
-            "A skip-set entry matching no attribute assignment in the "
-            "project: dead weight, or a renamed field whose exclusion "
-            "silently stopped applying."
+            "A skip-set entry matching no attribute assignment, or a "
+            "catalog class name matching no class, in the project: dead "
+            "weight, or a renamed field or class whose check silently "
+            "stopped applying."
         ),
     ),
 }
@@ -205,11 +208,17 @@ class SnapshotCoveragePass(AnalysisPass):
         }
 
         scanned: List[_ClassScan] = []
+        ckpt_path = str(ckpt.path)
 
         for list_global, class_name in sorted(spec.attr_lists.items()):
             value = _module_global_value(ckpt, list_global)
+            if value is None:
+                continue
             found = _find_class(ir, class_name)
-            if value is None or found is None:
+            if found is None:
+                findings.append(
+                    self._missing_class(ckpt_path, class_name, list_global)
+                )
                 continue
             listed = _string_elements(value)
             module, node = found
@@ -249,6 +258,9 @@ class SnapshotCoveragePass(AnalysisPass):
         for class_name in spec.component_classes:
             found = _find_class(ir, class_name)
             if found is None:
+                findings.append(
+                    self._missing_class(ckpt_path, class_name, "component_classes")
+                )
                 continue
             module, node = found
             scan = _ClassScan(module, node)
@@ -268,7 +280,6 @@ class SnapshotCoveragePass(AnalysisPass):
                 )
 
         assigned_anywhere = self._all_self_attrs(ir)
-        ckpt_path = str(ckpt.path)
         for name, owner in sorted(
             [(n, spec.skip_common_global) for n in skip_common]
             + [(n, spec.skip_extra_global) for n in skip_extra]
@@ -285,6 +296,13 @@ class SnapshotCoveragePass(AnalysisPass):
         return findings
 
     # ------------------------------------------------------------ helpers
+
+    def _missing_class(self, path: str, class_name: str, listed_in: str) -> Finding:
+        return self.make_finding(
+            _RULES["stale-skip"], path, 1, 0,
+            f"catalog class '{class_name}' ({listed_in}) matches no class in "
+            f"the project — its checkpoint-coverage check does not run",
+        )
 
     def _find_checkpoint_module(self, ir: ProjectIR) -> Optional[ModuleInfo]:
         for mod_name in sorted(ir.modules):

@@ -16,16 +16,12 @@ Both are counted here per batch; unique faults are grouped by VABlock since
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Union
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
-from ..gpu.fault import AccessType, Fault, FaultArrays
-from ..units import PAGE_SHIFT, VABLOCK_SHIFT, vablock_of_page
-
-#: Right-shift turning a page id into its VABlock id (array form of
-#: :func:`repro.units.vablock_of_page`).
-_VABLOCK_PAGE_SHIFT = VABLOCK_SHIFT - PAGE_SHIFT
+from ..gpu.fault import AccessType, Fault
+from ..units import vablock_of_page
 
 
 @dataclass
@@ -50,10 +46,8 @@ class BlockWork:
 class AssembledBatch:
     """A preprocessed fault batch ready for servicing."""
 
-    #: Raw faults in arrival order, as fetched from the buffer — a list of
-    #: :class:`Fault` objects (scalar path) or a :class:`FaultArrays`
-    #: (SoA path); both index/iterate to rows with the same field names.
-    faults: Union[List[Fault], FaultArrays]
+    #: Raw faults in arrival order, as fetched from the buffer.
+    faults: List[Fault]
     #: Per-VABlock work items, in first-fault order.
     blocks: List[BlockWork]
     num_unique: int = 0
@@ -78,9 +72,7 @@ class AssembledBatch:
         return self.faults[-1].timestamp - self.faults[0].timestamp
 
 
-def assemble_batch(  # parity: batch-assembly/scalar
-    faults: Union[Sequence[Fault], FaultArrays], num_sms: int
-) -> AssembledBatch:
+def assemble_batch(faults: Sequence[Fault], num_sms: int) -> AssembledBatch:
     """Preprocess fetched faults: dedup, classify, group by VABlock.
 
     Duplicate semantics follow §4.2: the first fault to a page is unique;
@@ -88,13 +80,7 @@ def assemble_batch(  # parity: batch-assembly/scalar
     page came from the same µTLB, else type 2.  A page's access type is the
     strongest seen (WRITE > READ > PREFETCH) — a write fault anywhere makes
     the page a write target.
-
-    A :class:`FaultArrays` input dispatches to the vectorized SoA assembler
-    (:func:`assemble_batch_soa`), which produces byte-identical
-    :class:`BlockWork`/:class:`AssembledBatch` contents.
     """
-    if isinstance(faults, FaultArrays):
-        return assemble_batch_soa(faults, num_sms)
     batch = AssembledBatch(faults=list(faults), blocks=[])
     sm_counts = np.zeros(num_sms, dtype=np.int32)
     block_index: Dict[int, BlockWork] = {}
@@ -138,136 +124,3 @@ def assemble_batch(  # parity: batch-assembly/scalar
 
     batch.sm_fault_counts = sm_counts
     return batch
-
-
-def assemble_batch_soa(  # parity: batch-assembly/soa
-    faults: FaultArrays, num_sms: int
-) -> AssembledBatch:
-    """Vectorized :func:`assemble_batch` over parallel fault columns.
-
-    The scalar loop's dict-of-sets bookkeeping becomes mask algebra:
-
-    * *unique* faults are first occurrences of a page: run heads of the
-      page-sorted column, with each page's earliest arrival recovered by
-      ``np.minimum.reduceat`` over the (unstable, faster) argsort;
-    * §4.2 type-1 vs type-2 duplicates fall out of first occurrences of the
-      ``(page, µTLB)`` pair — a duplicate whose pair is fresh crossed µTLBs
-      (type 2), a repeated pair stayed within one (type 1);
-    * the strongest-access upgrade (WRITE > READ > PREFETCH) is a pair of
-      boolean scatters (any WRITE → write page; any demand → not
-      prefetch-only);
-    * per-VABlock grouping falls out of the sorted unique pages (block run
-      heads need no second sort), blocks order by earliest contained
-      arrival, and the final replay-target ordering is one quicksort of a
-      fused ``block_rank * n + first_arrival`` key — unique keys make the
-      unstable sort order-deterministic.
-
-    Output is byte-identical to the scalar path (property-tested): plain
-    Python ints everywhere (``tolist()``), same block order (first fault
-    arrival), same intra-block page order, same counters.
-    """
-    n = len(faults)
-    if n == 0:
-        return AssembledBatch(
-            faults=faults,
-            blocks=[],
-            sm_fault_counts=np.zeros(num_sms, dtype=np.int32),
-        )
-
-    pages = faults.pages_array()  # dim: [page]
-    accesses = faults.accesses_array()
-    utlb_ids = faults.utlb_ids_array()
-    sm_counts = np.bincount(faults.sm_ids_array(), minlength=num_sms).astype(
-        np.int32
-    )
-
-    # One sort yields the whole page dedup: first occurrences are the run
-    # heads of the sorted column.  The sort need not be stable — each page's
-    # earliest arrival is recovered as the minimum argsort index per run,
-    # and the page-rank scatter below is order-insensitive within a run.
-    order = np.argsort(pages)
-    sorted_pages = pages[order]  # dim: [page]
-    is_first = np.empty(n, dtype=bool)
-    is_first[0] = True
-    np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=is_first[1:])
-    run_starts = np.nonzero(is_first)[0]
-    uniq_pages = sorted_pages[run_starts]  # dim: [page]
-    first_idx = np.minimum.reduceat(order, run_starts)
-    inv = np.empty(n, dtype=np.int64)
-    inv[order] = np.cumsum(is_first) - 1
-    num_unique = int(uniq_pages.size)
-
-    # §4.2 duplicate classification via (page, µTLB) pair dedup: a duplicate
-    # whose pair is fresh crossed µTLBs (type 2), a repeated pair stayed
-    # within one (type 1).
-    pair_keys = np.sort(inv * (int(utlb_ids.max()) + 1) + utlb_ids)
-    num_pairs = 1 + int(np.count_nonzero(pair_keys[1:] != pair_keys[:-1]))
-    dup_same = n - num_pairs
-    dup_cross = num_pairs - num_unique
-
-    # Strongest access per unique page (WRITE > READ > PREFETCH) as two
-    # boolean scatters: a page is a write target iff any WRITE hit it, and
-    # prefetch-only iff no demand (READ/WRITE) access ever did.
-    page_written = np.zeros(num_unique, dtype=bool)
-    page_written[inv[accesses == AccessType.WRITE]] = True
-    page_demanded = np.zeros(num_unique, dtype=bool)
-    page_demanded[inv[accesses != AccessType.PREFETCH]] = True
-
-    # Group by VABlock.  ``uniq_pages`` is sorted, so its block column is
-    # too: block membership is just run heads — no second sort.  Blocks
-    # order by their earliest contained fault arrival, and pages group into
-    # (block_rank, first_arrival) order via one quicksort of a fused key
-    # (both components < n, so keys are unique and the unstable sort is
-    # order-deterministic).
-    page_blocks = uniq_pages >> _VABLOCK_PAGE_SHIFT
-    is_first_blk = np.empty(num_unique, dtype=bool)
-    is_first_blk[0] = True
-    np.not_equal(page_blocks[1:], page_blocks[:-1], out=is_first_blk[1:])
-    blk_starts = np.nonzero(is_first_blk)[0]
-    uniq_blocks = page_blocks[blk_starts]
-    num_blocks = int(uniq_blocks.size)
-    blk_inv = np.cumsum(is_first_blk) - 1
-    block_arrival = np.minimum.reduceat(first_idx, blk_starts)
-    block_order = np.argsort(block_arrival)  # unique values: quicksort ok
-    block_rank = np.empty(num_blocks, dtype=np.int64)
-    block_rank[block_order] = np.arange(num_blocks)
-    perm = np.argsort(block_rank[blk_inv] * n + first_idx)
-    grouped_pages = uniq_pages[perm]  # dim: [page]
-    grouped_written = page_written[perm]
-    grouped_prefetch_only = ~page_demanded[perm]
-    blk_ends = np.empty(num_blocks, dtype=np.int64)
-    blk_ends[:-1] = blk_starts[1:]
-    blk_ends[-1] = num_unique
-    run_bounds = np.concatenate(([0], np.cumsum((blk_ends - blk_starts)[block_order])))
-
-    # Raw (duplicate-inclusive) fault count per block: every fault's block
-    # slot is its unique-page slot's block slot — two fancy-index hops, no
-    # binary search.
-    raw_counts = np.bincount(blk_inv[inv], minlength=num_blocks)
-
-    ordered_block_ids = uniq_blocks[block_order].tolist()
-    ordered_raw = raw_counts[block_order].tolist()
-    blocks: List[BlockWork] = []
-    for r, block_id in enumerate(ordered_block_ids):
-        lo, hi = run_bounds[r], run_bounds[r + 1]
-        run_pages = grouped_pages[lo:hi]
-        blocks.append(
-            BlockWork(
-                block_id=block_id,
-                pages=run_pages.tolist(),
-                write_pages=set(run_pages[grouped_written[lo:hi]].tolist()),
-                prefetch_only_pages=set(
-                    run_pages[grouped_prefetch_only[lo:hi]].tolist()
-                ),
-                raw_faults=ordered_raw[r],
-            )
-        )
-
-    return AssembledBatch(
-        faults=faults,
-        blocks=blocks,
-        num_unique=num_unique,
-        dup_same_utlb=dup_same,
-        dup_cross_utlb=dup_cross,
-        sm_fault_counts=sm_counts,
-    )

@@ -51,7 +51,7 @@ from ..errors import (
 from ..units import REGIONS_PER_VABLOCK, vablock_of_page
 from ..gpu.copy_engine import contiguous_runs
 from ..gpu.device import GpuDevice
-from ..gpu.fault import Fault, FaultArrays
+from ..gpu.fault import Fault
 from ..hostos.cost_model import CostModel
 from ..hostos.dma import DmaMapper
 from ..hostos.host_vm import HostVm
@@ -119,12 +119,9 @@ class ServiceOutcome:
     #: Pages made (and still) resident — warps waiting on them unblock.
     serviced_pages: List[int] = field(default_factory=list)
     #: Fetched faults whose page is *not* resident at batch end (evicted
-    #: within the same batch); their warps must re-demand.  Scalar path:
-    #: :class:`Fault` objects; SoA path: :class:`FaultRow` views — the
-    #: engine's re-demand reads the same field names from either.
+    #: within the same batch); their warps must re-demand.
     unserviced_faults: List[Fault] = field(default_factory=list)
-    #: Faults dropped by the pre-replay flush; reissued if still needed
-    #: (``List[Fault]`` or a :class:`FaultArrays` under ``REPRO_SOA``).
+    #: Faults dropped by the pre-replay flush; reissued if still needed.
     dropped_faults: List[Fault] = field(default_factory=list)
     #: Pages evicted from the device during this batch.
     evicted_pages: List[int] = field(default_factory=list)
@@ -537,15 +534,10 @@ class UvmDriver:
             block_costs.append(cost)
             if deferred:
                 pinned.discard(work.block_id)
-                if isinstance(faults, FaultArrays):
-                    outcome.unserviced_faults.extend(
-                        faults.rows_for_pages(work.pages)
-                    )
-                else:
-                    block_pages = set(work.pages)
-                    outcome.unserviced_faults.extend(
-                        f for f in faults if f.page in block_pages
-                    )
+                block_pages = set(work.pages)
+                outcome.unserviced_faults.extend(
+                    f for f in faults if f.page in block_pages
+                )
         self._advance_block_phase(block_costs)
 
         # 5. Replay: flush buffer (drop), clear µTLB waiting, push replay.
@@ -570,11 +562,7 @@ class UvmDriver:
         if len(still) != len(outcome.serviced_pages):
             gone = set(outcome.serviced_pages) - set(still)
             outcome.serviced_pages = still
-            outcome.unserviced_faults = (
-                faults.rows_for_pages(gone)
-                if isinstance(faults, FaultArrays)
-                else [f for f in faults if f.page in gone]
-            )
+            outcome.unserviced_faults = [f for f in faults if f.page in gone]
         return outcome
 
     def _abort_record(self, record: BatchRecord) -> None:

@@ -9,10 +9,6 @@ instrumentation records (Fig 4).
 from __future__ import annotations
 
 import enum
-from array import array
-from typing import Iterator, List, NamedTuple, Sequence
-
-import numpy as np
 
 
 class AccessType(enum.IntEnum):
@@ -74,200 +70,3 @@ class Fault:
             f"Fault(page={self.page}, {self.access.name}, sm={self.sm_id}, "
             f"utlb={self.utlb_id}, warp={self.warp_uid}, t={self.timestamp:.2f})"
         )
-
-
-class FaultRow(NamedTuple):
-    """Read-only view of one fault occurrence inside a :class:`FaultArrays`.
-
-    Field names and meanings match :class:`Fault` exactly, so code that
-    iterates a fetched batch (tracing, re-demand, tests) works unchanged on
-    either representation.
-    """
-
-    page: int  # dim: page
-    access: AccessType
-    sm_id: int
-    utlb_id: int
-    warp_uid: int
-    timestamp: float  # dim: us
-
-    @property
-    def is_prefetch(self) -> bool:
-        return self.access == AccessType.PREFETCH
-
-    @property
-    def is_write(self) -> bool:
-        return self.access == AccessType.WRITE
-
-
-class FaultArrays:
-    """Structure-of-arrays fault storage: one row per fault occurrence, in
-    arrival order.
-
-    This is the SoA counterpart of ``List[Fault]`` used by the vectorized
-    fault pipeline (``REPRO_SOA``): the µTLB→GMMU path appends scalars (no
-    per-fault object allocation), and batch assembly converts whole columns
-    to NumPy arrays for mask-algebra dedup/classification (§4.2) instead of
-    per-fault dict churn.  Iteration and indexing yield :class:`FaultRow`
-    views so cold paths (tracing, re-demand after a replay flush) stay
-    representation-agnostic.
-
-    Internally the five integer-ish fields live *flat interleaved* in one
-    list — ``(sm_id, utlb_id, page, access, warp_uid)`` five-tuples
-    concatenated, matching the engine's bulk-issuance event layout — so a
-    whole burst appends with a single ``list.extend`` and columns
-    materialize only on demand as C-speed strided slices (``flat[2::5]``).
-    Timestamps keep their own float column.
-    """
-
-    #: Flat-layout field offsets (matches the engine's event recording).
-    _SM, _UTLB, _PAGE, _ACCESS, _UID = range(5)
-
-    __slots__ = ("flat", "timestamps")
-
-    def __init__(self) -> None:
-        #: Interleaved (sm_id, utlb_id, page, access, warp_uid) records;
-        #: ``access`` entries are :class:`AccessType` members stored
-        #: as-given (coercion deferred to :meth:`accesses_array`).
-        self.flat: List = []
-        self.timestamps: List[float] = []  # dim: [us]
-
-    def append(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        utlb_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> None:
-        self.flat.extend((sm_id, utlb_id, page, access, warp_uid))
-        self.timestamps.append(timestamp)
-
-    # ------------------------------------------------------ column views
-
-    @property
-    def pages(self) -> List[int]:
-        return self.flat[self._PAGE :: 5]  # dim: [page]
-
-    @property
-    def accesses(self) -> List[AccessType]:
-        return self.flat[self._ACCESS :: 5]
-
-    @property
-    def sm_ids(self) -> List[int]:
-        return self.flat[self._SM :: 5]
-
-    @property
-    def utlb_ids(self) -> List[int]:
-        return self.flat[self._UTLB :: 5]
-
-    @property
-    def warp_uids(self) -> List[int]:
-        return self.flat[self._UID :: 5]
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> FaultRow:
-        if i < 0:
-            i += len(self.timestamps)
-        if not 0 <= i < len(self.timestamps):
-            raise IndexError(i)
-        base = i * 5
-        flat = self.flat
-        return FaultRow(
-            flat[base + self._PAGE],
-            flat[base + self._ACCESS],
-            flat[base + self._SM],
-            flat[base + self._UTLB],
-            flat[base + self._UID],
-            self.timestamps[i],
-        )
-
-    def __iter__(self) -> Iterator[FaultRow]:
-        flat = self.flat
-        return map(
-            FaultRow,
-            flat[self._PAGE :: 5],
-            flat[self._ACCESS :: 5],
-            flat[self._SM :: 5],
-            flat[self._UTLB :: 5],
-            flat[self._UID :: 5],
-            self.timestamps,
-        )
-
-    def clear(self) -> None:
-        self.flat.clear()
-        self.timestamps.clear()
-
-    def take_front(self, n: int) -> "FaultArrays":
-        """Remove and return the oldest ``n`` rows (driver-side fetch)."""
-        out = FaultArrays()
-        if n >= len(self.timestamps):
-            # Full drain: hand over the backing lists wholesale (O(1)).
-            out.flat = self.flat
-            out.timestamps = self.timestamps
-            self.flat = []
-            self.timestamps = []
-        else:
-            out.flat = self.flat[: n * 5]
-            out.timestamps = self.timestamps[:n]
-            del self.flat[: n * 5]
-            del self.timestamps[:n]
-        return out
-
-    def drain(self) -> "FaultArrays":
-        """Remove and return every row (pre-replay flush)."""
-        return self.take_front(len(self.timestamps))
-
-    # ------------------------------------------------------ numpy views
-
-    def pages_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._PAGE :: 5], dtype=np.int64)  # dim: [page]
-
-    def accesses_array(self) -> np.ndarray:
-        # array('q') coerces IntEnum members via the __index__ fast path,
-        # ~3x quicker than np.asarray on a member list; frombuffer wraps the
-        # result zero-copy.  The view is read-only by convention: it borrows
-        # the temporary array's buffer.
-        return np.frombuffer(
-            array("q", self.flat[self._ACCESS :: 5]), dtype=np.int64
-        )
-
-    def sm_ids_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._SM :: 5], dtype=np.int64)
-
-    def utlb_ids_array(self) -> np.ndarray:
-        return np.asarray(self.flat[self._UTLB :: 5], dtype=np.int64)
-
-    def rows_for_pages(self, pages: Sequence[int]) -> List[FaultRow]:
-        """Rows whose page lies in ``pages`` (order preserved) — the SoA
-        fast path for the driver's defer/unserviced filters."""
-        wanted = set(pages)
-        return [row for row in self if row.page in wanted]
-
-    # ----------------------------------------------- conversion helpers
-
-    @classmethod
-    def from_faults(cls, faults: Sequence[Fault]) -> "FaultArrays":
-        out = cls()
-        for f in faults:
-            out.append(f.page, f.access, f.sm_id, f.utlb_id, f.warp_uid, f.timestamp)
-        return out
-
-    def to_faults(self) -> List[Fault]:
-        return [
-            Fault(
-                row.page,
-                AccessType(row.access),
-                row.sm_id,
-                row.utlb_id,
-                row.warp_uid,
-                row.timestamp,
-            )
-            for row in self
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultArrays({len(self.pages)} rows)"

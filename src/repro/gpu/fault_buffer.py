@@ -11,13 +11,12 @@ dropped by hardware and likewise reissue after the next replay.
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, repeat
-from typing import Deque, List, Sequence, Tuple
+from typing import Deque, List
 
-from .fault import AccessType, Fault, FaultArrays
+from .fault import Fault
 
 
-class FaultBuffer:  # parity: fault-buffer/object
+class FaultBuffer:
     """Bounded FIFO of :class:`Fault` entries with drop-on-overflow.
 
     The lifetime counters satisfy the conservation identity UVMSan checks
@@ -80,7 +79,7 @@ class FaultBuffer:  # parity: fault-buffer/object
 
     def push(self, fault: Fault) -> bool:
         """Append a fault; False (dropped) when the buffer is full."""
-        if self.full:
+        if len(self._entries) >= self.capacity:
             self.total_overflow_dropped += 1
             return False
         inj = self._inj
@@ -114,19 +113,6 @@ class FaultBuffer:  # parity: fault-buffer/object
             self._san.on_fault_buffer(self)
         return True
 
-    def push_scalar(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        utlb_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> bool:
-        """Scalar-argument form of :meth:`push` (shared GMMU entry point for
-        both buffer representations)."""
-        return self.push(Fault(page, access, sm_id, utlb_id, warp_uid, timestamp))
-
     def fetch(self, max_n: int) -> List[Fault]:
         """Driver-side read of up to ``max_n`` oldest entries (consumed)."""
         n = min(max_n, len(self._entries))
@@ -149,164 +135,3 @@ class FaultBuffer:  # parity: fault-buffer/object
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FaultBuffer({len(self._entries)}/{self.capacity})"
-
-
-class SoaFaultBuffer:  # parity: fault-buffer/soa
-    """Structure-of-arrays drop-in for :class:`FaultBuffer` (``REPRO_SOA``).
-
-    Entries live in a :class:`FaultArrays` (flat interleaved record list plus
-    a timestamp column) instead of a deque of :class:`Fault` objects, so the
-    GMMU write path is plain list appends with no per-fault allocation — and
-    a pre-validated burst is a single ``list.extend`` — while the driver's
-    fetch hands whole columns to the vectorized batch assembler.  Every observable contract of
-    the scalar buffer is preserved bit-for-bit: the lifetime counters and
-    their conservation identity, the drop-on-overflow rule, the two chaos
-    injection sites (``fault_buffer.overflow`` / ``fault_buffer.duplicate``)
-    firing at the same decision points in the same order, and the UVMSan
-    callback points.
-    """
-
-    __slots__ = (
-        "capacity",
-        "_entries",
-        "total_pushed",
-        "total_fetched",
-        "total_overflow_dropped",
-        "total_flush_dropped",
-        "total_injected",
-        "total_injector_dropped",
-        "_san",
-        "_inj",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries = FaultArrays()
-        self.total_pushed = 0
-        self.total_fetched = 0
-        self.total_overflow_dropped = 0
-        self.total_flush_dropped = 0
-        self.total_injected = 0
-        self.total_injector_dropped = 0
-        self._san = None  # snapshot: skip
-        self._inj = None  # snapshot: skip
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Check occupancy/conservation invariants after every operation."""
-        self._san = sanitizer
-
-    def attach_injector(self, injector) -> None:
-        """Enable the ``fault_buffer.*`` injection sites on this buffer."""
-        self._inj = injector
-
-    def push(self, fault: Fault) -> bool:
-        """Object form kept for representation-agnostic callers (tests,
-        trace replay); the hot path uses :meth:`push_scalar`."""
-        return self.push_scalar(
-            fault.page,
-            fault.access,
-            fault.sm_id,
-            fault.utlb_id,
-            fault.warp_uid,
-            fault.timestamp,
-        )
-
-    def push_scalar(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        utlb_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> bool:
-        """Append a fault; False (dropped) when the buffer is full."""
-        entries = self._entries
-        if len(entries) >= self.capacity:
-            self.total_overflow_dropped += 1
-            return False
-        inj = self._inj
-        if inj is not None and inj.fire("fault_buffer.overflow"):
-            # Forced overflow storm — see FaultBuffer.push for semantics.
-            self.total_pushed += 1
-            self.total_injector_dropped += 1
-            if self._san is not None:
-                self._san.on_fault_buffer(self)
-            return False
-        entries.append(page, access, sm_id, utlb_id, warp_uid, timestamp)
-        self.total_pushed += 1
-        if (
-            inj is not None
-            and len(entries) < self.capacity
-            and inj.fire("fault_buffer.duplicate")
-        ):
-            # Spurious duplicate entry (§4.2's wakeup duplicates, forced).
-            entries.append(page, access, sm_id, utlb_id, warp_uid, timestamp)
-            self.total_injected += 1
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return True
-
-    def extend_bulk(
-        self,
-        events: Sequence,
-        t0: float,
-        interval: float,  # dim: us
-    ) -> float:
-        """Append a pre-validated burst of events whose timestamps advance by
-        ``interval`` per entry, starting at ``t0``.  ``events`` is flat
-        interleaved — ``(sm_id, utlb_id, page, access, warp_uid)`` five-tuples
-        concatenated into one list, the exact internal layout of
-        :class:`FaultArrays` — so the burst appends with a single
-        ``list.extend`` and no transpose at all.  Returns the time after the
-        last append.
-
-        Only legal when the caller has proven no overflow is possible and no
-        injector is attached (the engine's SoA issuance window checks both);
-        timestamps come from ``itertools.accumulate``, which performs the
-        same left-to-right repeated additions as the scalar ``t += interval``
-        loop — bit-identical floats, C-speed.
-        """
-        assert self._inj is None
-        t = t0
-        n = len(events) // 5
-        if n:
-            # The buffer's storage shares the event layout, so the whole
-            # burst lands with one list.extend.
-            entries = self._entries
-            entries.flat.extend(events)
-            timestamps = entries.timestamps
-            timestamps.extend(accumulate(repeat(interval, n - 1), initial=t0))
-            t = timestamps[-1] + interval
-        self.total_pushed += n
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return t
-
-    def fetch(self, max_n: int) -> FaultArrays:
-        """Driver-side read of up to ``max_n`` oldest entries (consumed)."""
-        n = min(max_n, len(self._entries))
-        fetched = self._entries.take_front(n)
-        self.total_fetched += n
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return fetched
-
-    def flush(self) -> FaultArrays:
-        """Drop every remaining entry (pre-replay flush); returns them so the
-        engine can re-demand non-prefetch accesses."""
-        dropped = self._entries.drain()
-        self.total_flush_dropped += len(dropped)
-        if self._san is not None:
-            self._san.on_fault_buffer(self)
-        return dropped
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SoaFaultBuffer({len(self._entries)}/{self.capacity})"

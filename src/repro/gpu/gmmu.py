@@ -36,12 +36,7 @@ class Gmmu:
     ) -> Optional[Fault]:
         """Write one fault into the buffer; None if hardware dropped it."""
         fault = Fault(
-            page=page,
-            access=access,
-            sm_id=sm_id,
-            utlb_id=sm_id // self.sms_per_utlb,
-            warp_uid=warp_uid,
-            timestamp=timestamp,
+            page, access, sm_id, sm_id // self.sms_per_utlb, warp_uid, timestamp
         )
         if not self.buffer.push(fault):
             return None
@@ -49,34 +44,6 @@ class Gmmu:
             self.interrupt_pending = True
             self.first_arrival = timestamp
         return fault
-
-    def deliver_ok(  # dim: page=page, timestamp=us
-        self,
-        page: int,
-        access: AccessType,
-        sm_id: int,
-        warp_uid: int,
-        timestamp: float,
-    ) -> bool:
-        """Allocation-free form of :meth:`deliver` used by the SoA fault
-        pipeline: same buffer-write and interrupt-latch semantics, but the
-        fault is written as scalars (the SoA buffer appends columns) and the
-        caller only learns whether hardware accepted it."""
-        if not self.buffer.push_scalar(
-            page, access, sm_id, sm_id // self.sms_per_utlb, warp_uid, timestamp
-        ):
-            return False
-        if not self.interrupt_pending:
-            self.interrupt_pending = True
-            self.first_arrival = timestamp
-        return True
-
-    def latch_interrupt(self, timestamp: float) -> None:  # dim: timestamp=us
-        """Latch the host interrupt for a burst delivered directly into the
-        buffer (the engine's bulk issuance window)."""
-        if not self.interrupt_pending:
-            self.interrupt_pending = True
-            self.first_arrival = timestamp
 
     def acknowledge(self) -> None:
         """Host acknowledged the interrupt (fault fetch started)."""

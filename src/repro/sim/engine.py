@@ -142,13 +142,13 @@ class _SmIssuer:
     ``warps`` are the SM's fault-ready warps in activation order and
     ``cursor`` is the round-robin position: the warp that issued last pass
     issues first again, and a warp the cursor has passed has nothing left to
-    issue this window.  Both the scalar arbiter loop and the SoA window
-    issue through :meth:`select`.
+    issue this window.  The arbiter loop in :meth:`Engine._gpu_round`
+    issues through :meth:`select`.
 
-    The loops keep an issuer for the next pass while its SM has budget and
+    The loop keeps an issuer for the next pass while its SM has budget and
     its µTLB has room.  One with nothing left to issue drops out when its
-    next :meth:`select` finds nothing, so no loop rescans the warps after
-    every fault.
+    next :meth:`select` finds nothing, so the loop never rescans the warps
+    after every fault.
     """
 
     __slots__ = ("sm", "utlb", "warps", "cursor")
@@ -230,13 +230,10 @@ class Engine:
         self.clock = clock if clock is not None else SimClock()
         self.trace = trace if trace is not None else EventTrace(enabled=False)
         self.obs = obs if obs is not None else Observability(config.obs, self.clock)
-        #: Structure-of-arrays fault pipeline (``REPRO_SOA=0`` disables).
-        self._soa = config.soa
         self.device = GpuDevice(
             config.gpu,
             copy_bandwidth_bytes_per_usec=self.cost.link_bandwidth_bytes_per_usec,
             copy_latency_usec=self.cost.transfer_latency_usec,
-            soa_fault_buffer=self._soa,
         )
         self.host_vm = host_vm if host_vm is not None else HostVm()
         self.host_cpu = HostCpu(config.host)
@@ -653,13 +650,12 @@ class Engine:
         # Prefetch-instruction faults: bypass scoreboard, µTLB cap, throttle.
         t = self.clock.now + self.cost.refault_latency_usec
         interval = self.cost.fault_arrival_interval_usec
+        deliver = device.gmmu.deliver
         if self._prefetch_queue:
             for sm_id, page in self._prefetch_queue:
                 if page in resident:
                     continue
-                if device.gmmu.deliver_ok(
-                    page, AccessType.PREFETCH, sm_id, warp_uid=0, timestamp=t
-                ):
+                if deliver(page, AccessType.PREFETCH, sm_id, 0, t) is not None:
                     t += interval
                     progressed = True
             self._prefetch_queue.clear()
@@ -679,23 +675,6 @@ class Engine:
                     # translation faults for one replay window.
                     continue
                 issuers.append(_SmIssuer(sm, device.utlbs[sm.utlb_id], warps))
-        buffer = device.fault_buffer
-        if (
-            self._soa
-            and inj is None
-            and sum(issuer.sm.budget for issuer in issuers)
-            <= buffer.capacity - len(buffer)
-        ):
-            # SoA bulk window: every delivery is guaranteed to land (total
-            # budget bounds deliveries, so overflow is impossible), which
-            # lets the per-µTLB issuance run decoupled from the buffer and
-            # the accepted events append column-wise in one burst.  The
-            # scalar loop below stays the arbiter whenever overflow or
-            # injection could steer the interleaving.
-            t, soa_progressed = self._issue_window_soa(issuers, t, interval)
-            progressed = progressed or soa_progressed
-            issuers = []
-        deliver = device.gmmu.deliver
         while issuers:
             next_issuers = []
             # One fault per SM per pass → round-robin interleaving.
@@ -708,7 +687,7 @@ class Engine:
                 sm = issuer.sm
                 utlb = issuer.utlb
                 if entry != _MERGED:
-                    if deliver(page, access, sm.sm_id, warp.uid, timestamp=t) is not None:
+                    if deliver(page, access, sm.sm_id, warp.uid, t) is not None:
                         t += interval
                     elif entry == _NEW:
                         # HW buffer full: roll back the µTLB entry so the
@@ -747,70 +726,6 @@ class Engine:
         if len(device.fault_buffer) > 0:
             self.clock.advance_to(t)
         return progressed, compute
-
-    def _issue_window_soa(
-        self, issuers: List[_SmIssuer], t0: float, interval: float
-    ) -> Tuple[float, bool]:
-        """Round-robin issuance with bulk column-wise buffer appends.
-
-        Equivalence with the scalar interleaved loop: µTLB and warp state
-        are local to one µTLB's SM group (adjacent SMs share the µTLB), so
-        with overflow ruled out by the caller the only cross-group coupling
-        is the buffer's arrival order.  Each group is therefore simulated
-        alone, recording accepted events into per-pass buckets; replaying
-        the buckets pass-by-pass (groups appear in ascending SM order within
-        each bucket) reproduces the scalar loop's exact interleaving, and
-        timestamps accumulate by the same repeated ``t += interval`` float
-        additions during the single bulk append.
-        """
-        device = self.device
-        #: Accepted events per round-robin pass, scalar arrival order within.
-        #: Flat interleaved layout — (sm_id, utlb_id, page, access, warp_uid)
-        #: five-tuples concatenated — so recording is one list.extend per
-        #: event and the buffer de-interleaves with C-speed strided slices.
-        buckets: List[List] = []
-        progressed = False
-        i = 0
-        n = len(issuers)
-        while i < n:
-            utlb = issuers[i].utlb
-            group = [issuers[i]]
-            i += 1
-            while i < n and issuers[i].utlb is utlb:
-                group.append(issuers[i])
-                i += 1
-            pass_no = 0
-            active = group
-            while active:
-                if pass_no == len(buckets):
-                    buckets.append([])
-                bucket = buckets[pass_no]
-                next_active = []
-                # One fault per SM per pass → round-robin interleaving.
-                for issuer in active:
-                    picked = issuer.select()
-                    if picked is None:
-                        continue
-                    progressed = True
-                    warp, (page, access), entry = picked
-                    sm = issuer.sm
-                    if entry != _MERGED:
-                        bucket.extend((sm.sm_id, sm.utlb_id, page, access, warp.uid))
-                    if sm.budget > 0 and utlb.outstanding < utlb.limit:
-                        next_active.append(issuer)
-                active = next_active
-                pass_no += 1
-        if not buckets:
-            return t0, progressed
-        events = (
-            buckets[0]
-            if len(buckets) == 1
-            else list(chain.from_iterable(buckets))
-        )
-        if events:
-            device.gmmu.latch_interrupt(t0)
-            t0 = device.fault_buffer.extend_bulk(events, t0, interval)
-        return t0, progressed
 
     def _next_ready_time(self) -> Optional[float]:
         """Earliest future phase-completion among active warps."""

@@ -5,12 +5,12 @@ Three layers of tests:
 * fixture true-positives — every rule in the family fires exactly where
   protoproj seeds it, and each violation's clean twin stays silent;
 * mutation scenarios — fixing a seeded violation clears its finding, and
-  the ISSUE acceptance mutations on a copy of the real tree (deleting a
+  the acceptance mutations on a copy of the real tree (deleting a
   ``_SKIP_COMMON`` entry, dropping an ``_abort_record`` call) each
   produce a finding;
-* the dogfood pin — the real ``src/repro`` tree is clean under all three
-  passes, so any future lifecycle/coverage/parity regression fails here
-  rather than landing in the baseline.
+* the dogfood pin — the real ``src/repro`` tree is clean under both
+  passes, so any future lifecycle/coverage regression fails here rather
+  than landing in the baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.check.program import run_analysis, seeds_in_changed
 from repro.check.program.lifecycle import LifecyclePass
-from repro.check.program.parity import ParityPass
 from repro.check.program.snapshot import SnapshotCoveragePass
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "protoproj"
@@ -34,14 +33,11 @@ FAMILY_RULES = (
     "snapshot-uncaptured",
     "snapshot-skip-drift",
     "snapshot-stale-skip",
-    "parity-surface",
-    "parity-unpaired",
-    "parity-annotation",
 )
 
 
 def family_passes():
-    return [LifecyclePass(), SnapshotCoveragePass(), ParityPass()]
+    return [LifecyclePass(), SnapshotCoveragePass()]
 
 
 def analyze(path=FIXTURES):
@@ -120,22 +116,6 @@ class TestFixtureSeeds:
         # extra_buf IS assigned (gmmu.py): the _SKIP_EXTRA entry is live.
         assert "extra_buf" not in " ".join(f.message for f in stale)
 
-    def test_parity_findings(self):
-        report = analyze()
-        surface = by_rule(report, "parity-surface")
-        assert len(surface) == 1
-        assert "'soa'" in surface[0].message
-        assert "san:on_push" in surface[0].message
-        assert "inj:push.overflow" in surface[0].message
-
-        unpaired = by_rule(report, "parity-unpaired")
-        assert len(unpaired) == 1
-        assert "'orphan'" in unpaired[0].message
-
-        annot = by_rule(report, "parity-annotation")
-        assert len(annot) == 1
-        assert "broken" in annot[0].message
-
 
 class TestMutationScenarios:
     def test_adding_close_clears_the_leak(self, proto_copy):
@@ -158,17 +138,25 @@ class TestMutationScenarios:
         )
         assert by_rule(analyze(proto_copy), "snapshot-uncaptured") == []
 
-    def test_restoring_surface_parity_clears_it(self, proto_copy):
-        pipeline = proto_copy / "pipeline.py"
-        src = pipeline.read_text()
-        pipeline.write_text(
-            src.replace(
-                "    buf.total += n\n    return n",
-                "    buf.total += n\n    san.on_push(buf)\n"
-                "    inj.fire(\"push.overflow\")\n    return n",
-            )
-        )
-        assert by_rule(analyze(pipeline.parent), "parity-surface") == []
+    @pytest.mark.parametrize(
+        "module, cls, seeded",
+        [
+            ("gmmu.py", "Gmmu", "Gmmu._hook"),  # a component class
+            ("engine.py", "Engine", "Engine.steps"),  # an attr-list class
+        ],
+    )
+    def test_renaming_a_catalog_class_is_flagged(
+        self, proto_copy, module, cls, seeded
+    ):
+        path = proto_copy / module
+        path.write_text(path.read_text().replace(f"class {cls}:", "class Renamed:"))
+        report = analyze(proto_copy)
+        # The renamed class's own skip-drift seed is no longer checked...
+        drift = " ".join(f.message for f in by_rule(report, "snapshot-skip-drift"))
+        assert seeded not in drift
+        # ...so the catalog name that stopped matching is the finding.
+        stale = by_rule(report, "snapshot-stale-skip")
+        assert [f for f in stale if f"'{cls}'" in f.message]
 
 
 class TestAcceptanceOnRealTree:

@@ -111,3 +111,23 @@ class TestEdgeCases:
         faults = [fault(1, ts=10.0), fault(2, ts=12.5)]
         batch = assemble_batch(faults, num_sms=8)
         assert batch.arrival_window == pytest.approx(2.5)
+
+    def test_outputs_are_plain_ints(self):
+        """Downstream cost models see plain Python ints, never NumPy
+        scalars: block ids, page sets, raw counts and duplicate counters."""
+        faults = [
+            fault(1, AccessType.WRITE, sm=0),
+            fault(1, sm=2),
+            fault(2, AccessType.PREFETCH, sm=1),
+            fault(PAGES_PER_VABLOCK + 3, sm=4),
+        ]
+        batch = assemble_batch(faults, num_sms=8)
+        for work in batch.blocks:
+            assert type(work.block_id) is int
+            assert all(type(p) is int for p in work.pages)
+            assert all(type(p) is int for p in work.write_pages)
+            assert all(type(p) is int for p in work.prefetch_only_pages)
+            assert type(work.raw_faults) is int
+        assert type(batch.num_unique) is int
+        assert type(batch.dup_same_utlb) is int
+        assert type(batch.dup_cross_utlb) is int

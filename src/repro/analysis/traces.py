@@ -90,10 +90,17 @@ class FaultTrace:
 def capture_trace(system: UvmSystem) -> FaultTrace:
     """Build a :class:`FaultTrace` from a traced run's "fault" events.
 
-    ``system`` must have been constructed with ``trace=True`` (or a trace
-    whose categories include ``"fault"``).
+    ``system`` must have been constructed with ``trace=True``, and must not
+    have recovered from a crash: the event ring never rewinds, so the
+    replayed segment's faults would appear twice.
     """
-    events = system.trace.select("fault")
+    flight = system.obs.flight
+    if flight.last("crash.recovered") is not None:
+        raise ValueError(
+            "the run recovered from a crash — its fault stream repeats the "
+            "replayed segment, so it cannot be captured"
+        )
+    events = flight.select("fault")
     if not events:
         raise ValueError(
             "no fault events recorded — construct UvmSystem(trace=True) "
@@ -103,8 +110,7 @@ def capture_trace(system: UvmSystem) -> FaultTrace:
         allocations=[(a.start_page, a.num_pages) for a in system.allocations]
     )
     current_batch = None
-    for event in events:
-        batch_id, page, access, sm_id, warp_uid = event.payload
+    for _, _, (batch_id, page, access, sm_id, warp_uid) in events:
         if batch_id != current_batch:
             trace.windows.append([])
             current_batch = batch_id

@@ -68,7 +68,6 @@ from ..check.sanitizer import NULL_SANITIZER
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS
 from ..obs.spans import NULL_SPAN
 from ..sim.clock import SimClock
-from ..sim.trace import EventTrace
 from .batch import AssembledBatch, BlockWork, assemble_batch
 from .batch_record import BatchRecord
 from .eviction import LruEvictionPolicy, make_eviction_policy
@@ -139,7 +138,6 @@ class UvmDriver:
         dma: DmaMapper,
         cost_model: CostModel,
         rng: Optional[np.random.Generator] = None,
-        trace: Optional[EventTrace] = None,
         obs: Optional[Observability] = None,
         sanitizer=None,
         injector=None,
@@ -152,7 +150,6 @@ class UvmDriver:
         self.dma = dma
         self.cost = cost_model
         self.rng = rng
-        self.trace = trace
         self.obs = obs if obs is not None else Observability(config.obs, clock)
         #: UVMSan invariant checker (no-op null object unless enabled).
         self.san = sanitizer if sanitizer is not None else NULL_SANITIZER
@@ -250,9 +247,12 @@ class UvmDriver:
         #: nothing consumes them.
         self._spans_on = self.obs.spans.enabled
         self._obs_block_on = self._spans_on or self.obs.chrome.enabled
-        #: Flight recorder (bounded ring of recent events; null object when
-        #: off, so the per-batch paths call it unconditionally).
+        #: Flight recorder (ring of recent events; null object when off, so
+        #: the per-batch paths call it unconditionally).
         self.flight = self.obs.flight
+        #: A traced ring also takes the per-fault ``fault``/``migrate``
+        #: events; untraced runs make no per-fault call at all.
+        self._traced = self.flight.traced
         self.eviction.attach_obs(self.obs)
         #: Simulated timestamp where the current VABlock's service started on
         #: the trace timeline (per-block costs apply to the clock only after
@@ -442,8 +442,6 @@ class UvmDriver:
             raise
         record.t_end = self.clock.now
         self.log.append(record)
-        if self.trace is not None:
-            self.trace.emit(record.t_end, "batch", record.batch_id, record.num_faults_raw)
         self._finish_record_obs(record)
         self.san.on_batch_end(self, record, outcome)
         self._update_adaptive(record)
@@ -466,12 +464,13 @@ class UvmDriver:
             faults = self.device.fault_buffer.fetch(self.effective_batch_size)
             record.time_fetch = self._spend(self.cost.fetch_cost(len(faults)))
 
-        if self.trace is not None:
+        if self._traced:
             # Per-fault instrumentation (the paper's first driver variant):
             # origin SM, address, access type, arrival time.  Enables trace
             # capture + open-loop replay (repro.analysis.traces).
+            record_at = self.flight.record_at
             for f in faults:
-                self.trace.emit(
+                record_at(
                     f.timestamp,
                     "fault",
                     record.batch_id,
@@ -846,11 +845,10 @@ class UvmDriver:
 
         record.pages_prefetched += len(prefetched)
         outcome.serviced_pages.extend(target)
-        if self.trace is not None and target:
+        if self._traced and target:
             # Fig 16c/17c fault-behaviour data: page extent migrated into
             # this block during this batch.
-            self.trace.emit(
-                self.clock.now,
+            self.flight.record(
                 "migrate",
                 record.batch_id,
                 block.block_id,
@@ -895,7 +893,14 @@ class UvmDriver:
         record.pages_evicted += len(pages)
         outcome.evicted_pages.extend(pages)
         self._m_pages_evicted.inc(len(pages))
-        self.flight.record("evict", victim_id, len(pages), record.batch_id)
+        self.flight.record(
+            "evict",
+            record.batch_id,
+            victim_id,
+            pages[0] if pages else victim.first_page,
+            pages[-1] if pages else victim.first_page,
+            len(pages),
+        )
         if self.obs.chrome.enabled:
             self.obs.chrome.duration(
                 f"evict block {victim_id}",
@@ -905,18 +910,6 @@ class UvmDriver:
                 pid=self.obs.pid(PID_EVICTION),
                 tid=0,
                 args={"pages": len(pages), "batch": record.batch_id},
-            )
-        if self.trace is not None:
-            first = pages[0] if pages else victim.first_page
-            last = pages[-1] if pages else victim.first_page
-            self.trace.emit(
-                self.clock.now,
-                "evict",
-                record.batch_id,
-                victim_id,
-                first,
-                last,
-                len(pages),
             )
 
     def _scope_expansion(

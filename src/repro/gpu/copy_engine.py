@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import InvariantViolation, TransferFault, TransferStuck
+from ..obs.flight import NULL_FLIGHT
 from ..units import PAGE_SIZE
 
 #: UVMSan gate for the ``contiguous_runs`` sortedness precondition.  Module
@@ -100,8 +101,8 @@ class CopyEngine:
         self._san = None
         #: Attached fault injector, or None (the common, zero-cost case).
         self._inj = None
-        #: Attached flight recorder, or None (the common, zero-cost case).
-        self._flight = None
+        #: Flight recorder the engine hands over (null object until then).
+        self._flight = NULL_FLIGHT
         #: Timestamp to place the next burst at on the trace timeline; the
         #: driver sets it before copies made while the clock is deferred
         #: (per-VABlock costs apply to the clock only after the block loop).
@@ -133,31 +134,23 @@ class CopyEngine:
         """Enable the ``ce.*`` injection sites on this engine."""
         self._inj = injector
 
-    def attach_flight(self, flight) -> None:
-        """Record injected burst failures in the flight-recorder ring."""
-        self._flight = flight
-
     def _maybe_inject(self, cost: float) -> float:
         """Roll the ``ce.*`` sites for one burst; returns the (possibly
         browned-out) cost, or raises before any byte counter moves."""
         inj = self._inj
         if inj is None or cost <= 0.0:
             return cost
-        flight = self._flight
         if inj.fire("ce.stuck"):
             self.stuck_events += 1
-            if flight is not None:
-                flight.record("ce.stuck", self.engine_id)
+            self._flight.record("ce.stuck", self.engine_id)
             raise TransferStuck(self.engine_id)
         if inj.fire("ce.transfer_fault"):
             self.failed_bursts += 1
-            if flight is not None:
-                flight.record("ce.transfer_fault", self.engine_id)
+            self._flight.record("ce.transfer_fault", self.engine_id)
             raise TransferFault(self.engine_id, cost * inj.waste_frac("ce.transfer_fault"))
         if inj.fire("ce.brownout"):
             self.brownout_bursts += 1
-            if flight is not None:
-                flight.record("ce.brownout", self.engine_id)
+            self._flight.record("ce.brownout", self.engine_id)
             return cost * inj.factor("ce.brownout")
         return cost
 

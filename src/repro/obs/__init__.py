@@ -60,9 +60,14 @@ from .spans import NULL_SPAN, SpanProfiler, SpanRecord
 class Observability:
     """Facade bundling one system's metrics, spans, trace, and log sink."""
 
-    def __init__(self, config, clock, pid_base: int = 0, label: str = "") -> None:
+    def __init__(
+        self, config, clock, pid_base: int = 0, label: str = "", trace: bool = False
+    ) -> None:
         """``config`` is an :class:`~repro.config.ObsConfig`; ``clock`` the
-        system's shared :class:`~repro.sim.clock.SimClock`."""
+        system's shared :class:`~repro.sim.clock.SimClock`.  ``trace`` makes
+        the event ring unbounded and has the driver record per-fault
+        ``fault``/``migrate`` events into it, whatever ``flight_recorder``
+        says."""
         self.config = config
         self.clock = clock
         self.pid_base = pid_base
@@ -75,11 +80,12 @@ class Observability:
         self.sink: Optional[NdjsonSink] = (
             NdjsonSink(config.ndjson_path) if config.ndjson_path else None
         )
-        self.flight = (
-            FlightRecorder(clock, config.flight_cap)
-            if config.flight_recorder
-            else NULL_FLIGHT
-        )
+        if trace:
+            self.flight = FlightRecorder(clock, capacity=None, sink=self.sink)
+        elif config.flight_recorder:
+            self.flight = FlightRecorder(clock, sink=self.sink)
+        else:
+            self.flight = NULL_FLIGHT
         if self.chrome.enabled:
             self.chrome.register_tracks(pid_base, label)
 

@@ -12,7 +12,7 @@ Bundle layout (schema: ``docs/schemas/bundle.schema.json``)::
     <dir>/
       manifest.json    error, clock, seed, RNG state, checkpoint ref, file map
       config.json      full SystemConfig snapshot (dataclasses.asdict)
-      events.ndjson    the flight-recorder ring, oldest first
+      events.ndjson    the flight-recorder ring's newest 512 events, oldest first
       metrics.json     MetricsRegistry.snapshot()
       spans.json       SpanProfiler.totals()
       checkpoint.bin   latest auto-checkpoint pickle (only when one exists)
@@ -30,6 +30,8 @@ import os
 import shutil
 from pathlib import Path
 from typing import Optional, Union
+
+from .flight import FLIGHT_CAPACITY
 
 #: Manifest ``schema`` identifier; bump on incompatible layout changes.
 BUNDLE_SCHEMA = "uvm-repro-bundle/1"
@@ -145,8 +147,11 @@ def _write_bundle_contents(
     flight = obs.flight
     config = engine.config
 
+    # A traced ring is unbounded; a bundle keeps the same newest window
+    # an untraced one would.
+    events = flight.to_dicts(FLIGHT_CAPACITY)
     with (directory / EVENTS_NAME).open("w", encoding="utf-8") as fh:
-        for event in flight.to_dicts():
+        for event in events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
 
     _dump_json(directory / CONFIG_NAME, dataclasses.asdict(config))
@@ -174,9 +179,9 @@ def _write_bundle_contents(
         if len(engine.driver.log)
         else None,
         "flight": {
-            "capacity": flight.capacity,
-            "recorded": len(flight),
-            "dropped": flight.dropped,
+            "capacity": FLIGHT_CAPACITY if flight.enabled else 0,
+            "recorded": len(events),
+            "dropped": flight.dropped + len(flight) - len(events),
         },
         "rng": {
             "engine": engine.rng.bit_generator.state,

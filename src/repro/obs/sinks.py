@@ -3,7 +3,8 @@
 The instrumented driver emits one log line per batch (§3.1); dmesg-style
 text is hostile to analysis, so :class:`NdjsonSink` writes newline-delimited
 JSON instead — one self-describing object per line, streamable and
-append-only.  Batch records, trace events, and arbitrary dict payloads share
+append-only.  Batch records, flight-recorder events (teed in by
+:class:`~repro.obs.flight.FlightRecorder`), and arbitrary dict payloads share
 one file, discriminated by a ``type`` field.
 """
 
@@ -15,7 +16,7 @@ from typing import IO, Optional, Union
 
 
 class NdjsonSink:
-    """Newline-delimited JSON writer for batch records and trace events."""
+    """Newline-delimited JSON writer for batch records and ring events."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -37,17 +38,6 @@ class NdjsonSink:
         payload = {"type": "batch_record"}
         payload.update(record.to_dict())
         self.write(payload)
-
-    def write_trace_event(self, time: float, category: str, payload) -> None:
-        """Log one :class:`~repro.sim.trace.EventTrace` event."""
-        self.write(
-            {
-                "type": "event",
-                "time": time,
-                "category": category,
-                "payload": list(payload),
-            }
-        )
 
     # ----------------------------------------------------------- lifecycle
 

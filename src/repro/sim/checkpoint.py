@@ -34,7 +34,7 @@ from typing import Dict, List
 #: ``_flight`` is the flight recorder: instrumentation like metrics, it
 #: never rewinds on restore (the pre-crash events are the forensic value).
 _SKIP_COMMON = frozenset(
-    {"_san", "_inj", "_obs", "_clock", "_pid", "config", "cost_model", "sink", "_flight"}
+    {"_san", "_inj", "_obs", "_clock", "_pid", "config", "cost_model", "_flight"}
 )
 #: Per-kind extra exclusions (references into other captured components).
 _SKIP_EXTRA: Dict[str, frozenset] = {
@@ -119,7 +119,6 @@ def _build_state(engine) -> dict:
         "copy_engines": [_capture_obj(ce) for ce in device.copy_engines],
         "host_vm": _capture_obj(engine.host_vm),
         "dma": _capture_obj(engine.dma),
-        "trace": _capture_obj(engine.trace),
         "vablocks": driver.vablocks,
         "log_records": list(driver.log.records),
         "driver": {name: getattr(driver, name) for name in _DRIVER_ATTRS},
@@ -173,7 +172,6 @@ class EngineCheckpoint:
             _restore_obj(ce, ce_state)
         _restore_obj(engine.host_vm, state["host_vm"])
         _restore_obj(engine.dma, state["dma"])
-        _restore_obj(engine.trace, state["trace"])
         driver.vablocks = state["vablocks"]
         driver.log.records[:] = state["log_records"]
         for name in _DRIVER_ATTRS:

@@ -58,7 +58,6 @@ from ..units import vablock_of_page
 from .checkpoint import EngineCheckpoint
 from .clock import SimClock
 from .rng import spawn_rng
-from .trace import EventTrace
 
 
 @dataclass
@@ -214,7 +213,7 @@ class Engine:
     def __init__(
         self,
         config: SystemConfig,
-        trace: Optional[EventTrace] = None,
+        trace: bool = False,
         clock: Optional[SimClock] = None,
         host_vm: Optional[HostVm] = None,
         dma: Optional[DmaMapper] = None,
@@ -223,13 +222,16 @@ class Engine:
         """``clock``/``host_vm``/``dma``/``obs`` may be shared across
         engines — the multi-GPU coordinator passes one host-side state (and
         one observability layer, with per-device scoped trace tracks) to
-        every device's engine (one host OS, many GPUs, as in real UVM)."""
+        every device's engine (one host OS, many GPUs, as in real UVM).
+        ``trace`` asks an engine that builds its own ``obs`` for a traced
+        event ring (see :class:`~repro.obs.Observability`)."""
         config.validate()
         self.config = config
         self.cost = CostModel().apply_overrides(config.cost_overrides)
         self.clock = clock if clock is not None else SimClock()
-        self.trace = trace if trace is not None else EventTrace(enabled=False)
-        self.obs = obs if obs is not None else Observability(config.obs, self.clock)
+        self.obs = (
+            obs if obs is not None else Observability(config.obs, self.clock, trace=trace)
+        )
         self.device = GpuDevice(
             config.gpu,
             copy_bandwidth_bytes_per_usec=self.cost.link_bandwidth_bytes_per_usec,
@@ -242,8 +244,6 @@ class Engine:
         if self.obs.any_enabled:
             for ce in self.device.copy_engines:
                 ce.attach_obs(self.obs, self.clock)
-        if self.obs.sink is not None and self.trace.sink is None:
-            self.trace.sink = self.obs.sink
         #: Cached flag so the per-warp hot path never touches the builder.
         self._chrome_on = self.obs.chrome.enabled
         self._pid_sm = self.obs.pid(PID_SM)
@@ -275,9 +275,8 @@ class Engine:
         #: Flight recorder (black box): a null object when off, so hooks on
         #: the paths below cost one no-op call at most.
         self.flight = self.obs.flight
-        if self.flight.enabled:
-            for ce in self.device.copy_engines:
-                ce.attach_flight(self.flight)
+        for ce in self.device.copy_engines:
+            ce._flight = self.flight
         #: Where the latest crash bundle landed (None until a crash writes
         #: one; see :meth:`_capture_bundle`).
         self.last_bundle = None  # snapshot: skip — diagnostics, not sim state
@@ -312,7 +311,6 @@ class Engine:
             dma=self.dma,
             cost_model=self.cost,
             rng=spawn_rng(config.seed, "driver-jitter"),
-            trace=self.trace,
             obs=self.obs,
             sanitizer=self.sanitizer,
             injector=self.injector,

@@ -27,7 +27,3 @@ class ChunkAllocator:
 
 class CopyEngine:
     pass
-
-
-class EventTrace:
-    pass

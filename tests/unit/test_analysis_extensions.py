@@ -123,6 +123,22 @@ class TestTraces:
         with pytest.raises(ValueError):
             capture_trace(system)
 
+    def test_capture_rejects_recovered_crash(self):
+        """The ring never rewinds, so a recovered crash leaves the replayed
+        segment's faults in it twice; capture refuses such a run."""
+        from repro.workloads import WORKLOAD_REGISTRY
+
+        cfg = default_config()
+        cfg.gpu.memory_bytes = 32 * MB
+        cfg.inject.enabled = True
+        cfg.inject.sites = {"engine.crash": {"at_batch": 3}}
+        cfg.inject.checkpoint_every = 2
+        system = UvmSystem(cfg, trace=True)
+        WORKLOAD_REGISTRY["stream"]().run(system)
+        assert system.obs.flight.last("crash.recovered") is not None
+        with pytest.raises(ValueError, match="recovered from a crash"):
+            capture_trace(system)
+
     def test_capture_counts_faults(self, system_factory):
         system = self.traced_run(system_factory)
         trace = capture_trace(system)

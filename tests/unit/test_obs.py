@@ -20,8 +20,8 @@ from repro.obs import (
     SpanProfiler,
     read_ndjson,
 )
+from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder
 from repro.sim.clock import SimClock
-from repro.sim.trace import EventTrace
 
 
 # ---------------------------------------------------------------- metrics
@@ -290,12 +290,10 @@ class TestNdjsonSink:
         path = tmp_path / "log.ndjson"
         with NdjsonSink(path) as sink:
             sink.write({"type": "custom", "v": 1})
-            sink.write_trace_event(3.5, "fault", (7, 8))
+            FlightRecorder(SimClock(), sink=sink).record_at(3.5, "fault", 7, 8)
         rows = read_ndjson(path)
         assert rows[0] == {"type": "custom", "v": 1}
-        assert rows[1]["type"] == "event"
-        assert rows[1]["time"] == 3.5
-        assert rows[1]["category"] == "fault"
+        assert rows[1] == {"type": "event", "t": 3.5, "kind": "fault", "args": [7, 8]}
 
 
 # ----------------------------------------------------------------- facade
@@ -323,63 +321,45 @@ class TestObservabilityFacade:
         with pytest.raises(ConfigError):
             ObsConfig(chrome_max_events=0).validate()
         with pytest.raises(ConfigError):
-            ObsConfig(trace_max_events=0).validate()
-        with pytest.raises(ConfigError):
             ObsConfig(max_spans=-1).validate()
 
 
-# ------------------------------------------------- EventTrace ring + JSONL
+# ------------------------------------------------------- the event ring
 
 
 class TestEventTraceRing:
+    """The one event ring as :class:`Observability` builds it."""
+
     def test_ring_keeps_newest_and_counts_drops(self):
-        trace = EventTrace(max_events=3)
-        for i in range(5):
-            trace.emit(float(i), "fault", i)
-        assert len(trace) == 3
-        assert trace.dropped == 2
-        assert [e.payload[0] for e in trace] == [2, 3, 4]
-        assert trace[0].time == 2.0
-        assert [e.payload[0] for e in trace[1:]] == [3, 4]
+        ring = Observability(ObsConfig(), SimClock()).flight
+        for i in range(FLIGHT_CAPACITY + 2):
+            ring.record("evict", i)
+        assert len(ring) == FLIGHT_CAPACITY
+        assert ring.dropped == 2
+        assert ring.events()[0][2] == (2,)
+        assert ring.events()[-1][2] == (FLIGHT_CAPACITY + 1,)
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
-            EventTrace(max_events=0)
+            FlightRecorder(SimClock(), capacity=-1)
 
     def test_clear_resets_dropped(self):
-        trace = EventTrace(max_events=1)
-        trace.emit(0.0, "a")
-        trace.emit(1.0, "a")
-        trace.clear()
-        assert len(trace) == 0
-        assert trace.dropped == 0
-
-    def test_jsonl_round_trip(self, tmp_path):
-        trace = EventTrace()
-        trace.emit(1.5, "fault", 3, "read")
-        trace.emit(2.5, "batch", 0)
-        path = trace.to_jsonl(tmp_path / "trace.jsonl")
-        loaded = EventTrace.from_jsonl(path)
-        assert len(loaded) == 2
-        assert loaded[0].time == 1.5
-        assert loaded[0].category == "fault"
-        assert loaded[0].payload == (3, "read")
-        assert loaded[1].payload == (0,)
-
-    def test_jsonl_reload_with_cap(self, tmp_path):
-        trace = EventTrace()
-        for i in range(10):
-            trace.emit(float(i), "fault", i)
-        path = trace.to_jsonl(tmp_path / "trace.jsonl")
-        loaded = EventTrace.from_jsonl(path, max_events=4)
-        assert len(loaded) == 4
-        assert [e.payload[0] for e in loaded] == [6, 7, 8, 9]
+        ring = Observability(ObsConfig(), SimClock()).flight
+        for i in range(FLIGHT_CAPACITY + 1):
+            ring.record("a", i)
+        ring.clear()
+        assert len(ring) == 0
+        assert ring.dropped == 0
+        ring.record("b")
+        assert ring.events() == [(0.0, "b", ())]
 
     def test_sink_tee(self, tmp_path):
         path = tmp_path / "tee.ndjson"
-        sink = NdjsonSink(path)
-        trace = EventTrace(sink=sink)
-        trace.emit(0.5, "evict", 12)
-        sink.close()
+        obs = Observability(ObsConfig(ndjson_path=str(path)), SimClock())
+        obs.clock.advance(0.5)
+        obs.flight.record("evict", 0, 12, 768, 831, 64)
+        obs.close()
         rows = read_ndjson(path)
-        assert rows[0]["category"] == "evict"
+        assert rows == [
+            {"type": "event", "t": 0.5, "kind": "evict", "args": [0, 12, 768, 831, 64]}
+        ]

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.config import ObsConfig, default_config
-from repro.errors import ConfigError
 from repro.obs import Observability
 from repro.obs.bundle import (
     BUNDLE_SCHEMA,
@@ -17,7 +16,7 @@ from repro.obs.bundle import (
     unique_bundle_dir,
     write_bundle,
 )
-from repro.obs.flight import FlightRecorder, NULL_FLIGHT
+from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder, NULL_FLIGHT
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.clock import SimClock
 
@@ -78,6 +77,8 @@ class TestFlightRecorder:
 
     def test_null_flight_is_inert(self):
         NULL_FLIGHT.record("anything", 1, 2)
+        NULL_FLIGHT.record_at(1.0, "anything")
+        assert not NULL_FLIGHT.traced
         assert not NULL_FLIGHT.enabled
         assert len(NULL_FLIGHT) == 0
         assert NULL_FLIGHT.events() == []
@@ -92,7 +93,8 @@ class TestObsConfigFlightKnobs:
     def test_flight_on_by_default(self):
         obs = Observability(ObsConfig(), SimClock())
         assert obs.flight.enabled
-        assert obs.flight.capacity == ObsConfig().flight_cap
+        assert obs.flight.capacity == FLIGHT_CAPACITY
+        assert not obs.flight.traced
 
     def test_flight_off_installs_null_object(self):
         obs = Observability(ObsConfig(flight_recorder=False), SimClock())
@@ -103,9 +105,11 @@ class TestObsConfigFlightKnobs:
         view = obs.scoped(1000, "gpu1")
         assert view.flight is obs.flight
 
-    def test_flight_cap_validated(self):
-        with pytest.raises(ConfigError):
-            ObsConfig(flight_cap=0).validate()
+    def test_trace_makes_the_ring_unbounded(self):
+        # Tracing is asked for explicitly, so it wins over flight_recorder.
+        obs = Observability(ObsConfig(flight_recorder=False), SimClock(), trace=True)
+        assert obs.flight.traced
+        assert obs.flight.capacity is None
 
     def test_disabled_keeps_flight_only_when_bundles_armed(self):
         dark = ObsConfig().disabled()

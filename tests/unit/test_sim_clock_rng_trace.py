@@ -1,10 +1,11 @@
-"""Unit tests for the simulation kernel: clock, RNG streams, event trace."""
+"""Unit tests for the simulation kernel: clock and RNG streams, and the
+traced event ring."""
 
 import pytest
 
+from repro.obs.flight import FLIGHT_CAPACITY, FlightRecorder
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng, spawn_rng
-from repro.sim.trace import EventTrace, TraceEvent
 
 
 class TestSimClock:
@@ -73,52 +74,48 @@ class TestRng:
 
 
 class TestEventTrace:
+    """The traced event ring: what ``UvmSystem(trace=True)`` records into
+    (an unbounded :class:`FlightRecorder`)."""
+
     def test_emit_and_len(self):
-        trace = EventTrace()
-        trace.emit(1.0, "fault", 42)
-        trace.emit(2.0, "batch", 0)
+        trace = FlightRecorder(SimClock(), capacity=None)
+        trace.record_at(1.0, "fault", 0, 42)
+        trace.record("batch.close", 0)
         assert len(trace) == 2
+        assert trace.events() == [(1.0, "fault", (0, 42)), (0.0, "batch.close", (0,))]
 
     def test_disabled_records_nothing(self):
-        trace = EventTrace(enabled=False)
-        trace.emit(1.0, "fault", 42)
-        assert len(trace) == 0
+        """An untraced system keeps its black-box events but records no
+        per-fault ``fault`` or ``migrate`` event."""
+        from repro.api import UvmSystem
+        from repro.workloads import WORKLOAD_REGISTRY
 
-    def test_category_filter(self):
-        trace = EventTrace(categories={"batch"})
-        trace.emit(1.0, "fault", 1)
-        trace.emit(2.0, "batch", 2)
-        assert len(trace) == 1
-        assert trace[0].category == "batch"
+        system = UvmSystem()
+        WORKLOAD_REGISTRY["vecadd"]().run(system)
+        flight = system.obs.flight
+        assert not flight.traced
+        assert flight.select("batch.open")
+        assert flight.select("fault") == []
+        assert flight.select("migrate") == []
 
     def test_select(self):
-        trace = EventTrace()
-        trace.emit(1.0, "evict", 3, 100)
-        trace.emit(2.0, "evict", 4, 50)
-        trace.emit(3.0, "batch", 0)
+        trace = FlightRecorder(SimClock(), capacity=None)
+        trace.record_at(1.0, "evict", 0, 3, 100, 163, 64)
+        trace.record_at(2.0, "evict", 1, 4, 50, 113, 64)
+        trace.record_at(3.0, "batch.close", 1)
         evicts = trace.select("evict")
-        assert [e.payload[0] for e in evicts] == [3, 4]
-
-    def test_select_with_predicate(self):
-        trace = EventTrace()
-        trace.emit(1.0, "evict", 3, 100)
-        trace.emit(2.0, "evict", 4, 50)
-        big = trace.select("evict", lambda e: e.payload[1] > 60)
-        assert len(big) == 1
+        assert [args[1] for _, _, args in evicts] == [3, 4]
 
     def test_clear(self):
-        trace = EventTrace()
-        trace.emit(1.0, "x")
+        trace = FlightRecorder(SimClock(), capacity=None)
+        trace.record("x")
         trace.clear()
         assert len(trace) == 0
 
-    def test_event_is_frozen(self):
-        event = TraceEvent(1.0, "x", ())
-        with pytest.raises(AttributeError):
-            event.time = 2.0
-
     def test_iteration_order(self):
-        trace = EventTrace()
-        for i in range(5):
-            trace.emit(float(i), "t", i)
-        assert [e.payload[0] for e in trace] == list(range(5))
+        """A traced ring keeps every event: no cap, nothing dropped."""
+        trace = FlightRecorder(SimClock(), capacity=None)
+        for i in range(FLIGHT_CAPACITY + 5):
+            trace.record_at(float(i), "t", i)
+        assert [args[0] for _, _, args in trace] == list(range(FLIGHT_CAPACITY + 5))
+        assert trace.dropped == 0

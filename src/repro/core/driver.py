@@ -195,7 +195,7 @@ class UvmDriver:
             "uvm_hostos_total", "Host-OS operations on the fault path", labels=("op",)
         )
         self._m_batch_usec = metrics.histogram(
-            "uvm_batch_service_usec", "Batch servicing time (simulated µs)"
+            "uvm_batch_service_usec", "Batch servicing time (simulated us)"
         )
         self._m_batch_faults = metrics.histogram(
             "uvm_batch_faults", "Raw faults per batch", buckets=DEFAULT_COUNT_BUCKETS

@@ -282,6 +282,11 @@ def validate_registry(registry) -> list:
                 f"{name}: declared labels {tuple(decl['labels'])!r}, "
                 f"registered {tuple(family.label_names)!r}"
             )
+        if family.help != decl["help"]:
+            problems.append(
+                f"{name}: declared help {decl['help']!r}, "
+                f"registered {family.help!r}"
+            )
         if not decl.get("unit"):
             problems.append(f"{name}: declaration carries no unit")
     return problems

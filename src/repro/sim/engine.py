@@ -283,7 +283,7 @@ class Engine:
         metrics = self.obs.metrics
         self._m_kernels = metrics.counter("uvm_kernels_total", "Kernel launches run")
         self._m_kernel_usec = metrics.histogram(
-            "uvm_kernel_time_usec", "Kernel wall time (simulated µs)"
+            "uvm_kernel_time_usec", "Kernel wall time (simulated us)"
         )
         self._m_rounds = metrics.counter(
             "uvm_engine_rounds_total", "GPU fault-generation rounds"

@@ -6,6 +6,12 @@ field) *and* ticks a metric family.  Across every bundled chaos profile and
 several seeds the two ledgers must agree to the unit — a drift means some
 path charges one ledger without the other (the engine-side gap these
 identities were added to catch).
+
+Batch and fault counters reconcile with the flight ring, not with the
+records: a recovered crash rewinds the batch log to the checkpoint but
+never rewinds metrics or the ring, so the rolled-back batches stay counted
+in both.  The profiles run on ``stream`` (~42 batches), long enough for
+``crash_midrun``'s crash at batch 10 to fire.
 """
 
 from pathlib import Path
@@ -15,7 +21,7 @@ import pytest
 from repro.api import UvmSystem
 from repro.config import default_config
 from repro.units import MB
-from repro.workloads import RegularStream
+from repro.workloads import WORKLOAD_REGISTRY
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples" / "chaos"
 PROFILES = sorted(EXAMPLES_DIR.glob("*.json"))
@@ -43,7 +49,7 @@ def run_profile(profile, seed):
     cfg.inject.checkpoint_every = 8
     cfg.validate()
     system = UvmSystem(cfg)
-    RegularStream().run(system)
+    WORKLOAD_REGISTRY["stream"]().run(system)
     return system
 
 
@@ -74,13 +80,35 @@ def assert_reconciles(system):
     assert metric_value(snap, "uvm_degrade_total", kind="dma-defer") + metric_value(
         snap, "uvm_degrade_total", kind="transfer-defer"
     ) == total("blocks_deferred")
+
+    flight = system.obs.flight
+    assert flight.dropped == 0
+    closed = [e for e in flight if e[1] in ("batch.close", "batch.abort")]
+    batches = metric_value(snap, "uvm_batches_total", kind="fault") + metric_value(
+        snap, "uvm_batches_total", kind="hinted"
+    )
+    assert batches == len(closed)
+    assert metric_value(snap, "uvm_faults_total", kind="raw") == sum(
+        args[1] for _, _, args in closed
+    )
     assert system.sanitizer.total_violations == 0
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.stem)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_profile_totals_reconcile(profile, seed):
-    assert_reconciles(run_profile(profile, seed))
+    system = run_profile(profile, seed)
+    assert_reconciles(system)
+    summary = system.injector.summary()
+    if "engine.crash" in summary["sites"]:
+        # The crash must fire and be recovered, or the case is vacuous.
+        assert summary["crashes"] == 1
+        assert summary["recoveries"] == 1
+        # The batch log was rewound to the checkpoint; the counter was not.
+        snap = system.metrics_snapshot()
+        assert metric_value(snap, "uvm_batches_total", kind="fault") > len(
+            system.records
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 7])
